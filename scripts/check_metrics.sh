@@ -108,6 +108,7 @@ awk -v mode="$mode" '
     # the routing counters every operations dashboard keys on.
     procs = "onex_process_uptime_seconds " \
             "onex_process_resident_memory_bytes " \
+            "onex_process_virtual_memory_bytes " \
             "onex_process_open_fds " \
             "onex_process_threads " \
             "onex_process_cpu_user_seconds_total " \

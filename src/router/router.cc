@@ -1,7 +1,5 @@
 #include "router/router.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,7 +10,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
-#include <set>
+#include <system_error>
 #include <utility>
 
 #include "router/merge.h"
@@ -76,9 +74,9 @@ std::string RenderRelay(const server::WireResponse& reply) {
 }  // namespace
 
 // One downstream client connection. The write mutex serializes whole
-// blocks onto the socket: inline replies (session thread), merged PART
-// frames (upstream demux threads), and merged finals (op threads) all
-// interleave block-at-a-time, never mid-block.
+// blocks onto the socket: inline replies (session thread) and merged
+// PART frames and finals (upstream demux threads) interleave
+// block-at-a-time, never mid-block.
 struct Router::Session {
   explicit Session(int fd) : fd(fd) {}
 
@@ -93,8 +91,11 @@ struct Router::Session {
   Mutex mutex{LockRank::kSessionState, "router.session.mutex"};
   /// `use` binding: an exact name or a shard-set spec.
   std::string bound GUARDED_BY(mutex);
-  /// In-flight tagged scattered queries, by client id (CANCEL routing).
+  /// In-flight queries by client id (CANCEL routing). Id 0 is the one
+  /// untagged query, which the session thread waits out. Each op erases
+  /// itself once its final block is sent.
   std::map<uint64_t, std::shared_ptr<ScatterOp>> ops GUARDED_BY(mutex);
+  CondVar op_finished;
 
   // Write-forwarding state; session-thread-only, so unguarded. The
   // connection is blocking and NEVER auto-reconnects: a write whose
@@ -102,25 +103,29 @@ struct Router::Session {
   std::optional<server::Client> write_client;
   size_t write_upstream = static_cast<size_t>(-1);
   std::string write_dataset;
-
-  /// Coordinator threads of this session's tagged queries; joined when
-  /// the session ends.
-  std::vector<std::thread> op_threads;
 };
 
-// The merge state machine of one (possibly scattered) query.
+// The merge state machine of one (possibly scattered) query. Driven by
+// the upstream demux threads' callbacks; the last leg to finish merges.
 struct Router::ScatterOp {
   std::shared_ptr<Session> session;
-  uint64_t client_id = 0;
+  QueryRequest request;
+  server::RequestAttrs attrs;
+  std::vector<std::string> datasets;
   bool match_shaped = false;
   size_t keep = 0;
-  bool progress = false;
   std::chrono::steady_clock::time_point started;
 
-  struct LegResult {
-    bool finished = false;
-    Status error = Status::OK();  ///< Transport failure when !ok().
-    server::WireResponse final;   ///< Valid when finished && error.ok().
+  struct Leg {
+    /// Current upstream handle, for CANCEL fan-out, and the attempt
+    /// that submitted it (a slow submitter must not overwrite the
+    /// handle of a later failover attempt).
+    server::Client::Handle handle;
+    size_t attempt = 0;
+    /// Set when the leg finished: the transport failure that exhausted
+    /// every replica, or else the final block.
+    Status error = Status::OK();
+    server::WireResponse final;
   };
 
   Mutex mutex{LockRank::kRouterMerge, "router.op.mutex"};
@@ -129,10 +134,8 @@ struct Router::ScatterOp {
   /// Latest match-shaped snapshot per leg (re-ranked on every frame).
   std::vector<std::vector<std::string>> leg_rows GUARDED_BY(mutex);
   std::vector<double> leg_frac GUARDED_BY(mutex);
-  /// Current upstream handle per leg, for CANCEL fan-out (replaced on
-  /// failover re-submit).
-  std::vector<server::Client::Handle> leg_handles GUARDED_BY(mutex);
-  std::vector<LegResult> results GUARDED_BY(mutex);
+  std::vector<Leg> legs GUARDED_BY(mutex);
+  size_t pending GUARDED_BY(mutex) = 0;  ///< Legs without an outcome.
 };
 
 Router::Router(RouterOptions options)
@@ -143,45 +146,16 @@ Router::Router(RouterOptions options)
 
 Result<std::unique_ptr<Router>> Router::Start(RouterOptions options) {
   std::unique_ptr<Router> router(new Router(std::move(options)));
-  const Status listening = router->Listen();
-  if (!listening.ok()) return listening;
+  auto listening = server::ListenTcp(router->options_.host,
+                                     router->options_.port, &router->port_);
+  if (!listening.ok()) return listening.status();
+  router->listen_fd_ = listening.value();
   router->pool_.Start();
   router->accept_thread_ = std::thread([r = router.get()] { r->AcceptLoop(); });
   return router;
 }
 
 Router::~Router() { Stop(); }
-
-Status Router::Listen() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad host '" + options_.host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    return Status::IOError("bind " + options_.host + ":" +
-                           std::to_string(options_.port) + ": " +
-                           std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 64) < 0) {
-    return Status::IOError(std::string("listen: ") + std::strerror(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
-  return Status::OK();
-}
 
 void Router::Stop() {
   bool expected = false;
@@ -198,10 +172,11 @@ void Router::Stop() {
   }
 
   // 3. Tear down the upstream pool: probes stop, query links close, so
-  //    any leg still blocked in Wait() fails out and its op finishes.
+  //    every leg still in flight gets its failure callback (no link is
+  //    left to fail over to) and every op finishes.
   pool_.Stop();
 
-  // 4. Sessions (and the op threads they join) can now run out.
+  // 4. Sessions wait out their ops, then run out.
   std::vector<SessionThread> to_join;
   {
     MutexLock lock(sessions_mutex_);
@@ -235,13 +210,23 @@ void Router::AcceptLoop() {
         ++it;
       }
     }
-    session_fds_.push_back(fd);
+    server::SetNoDelay(fd);
     auto done = std::make_shared<std::atomic<bool>>(false);
-    session_threads_.push_back({std::thread([this, fd, done] {
-                                  SessionLoop(fd);
-                                  done->store(true);
-                                }),
-                                done});
+    try {
+      session_threads_.push_back({std::thread([this, fd, done] {
+                                    SessionLoop(fd);
+                                    done->store(true);
+                                  }),
+                                  done});
+    } catch (const std::system_error& e) {
+      // Out of threads: refuse this client, keep serving the others.
+      server::SendAll(fd, server::RenderErrorBlock(
+                              server::kOverloadedCode,
+                              std::string("no session thread: ") + e.what()));
+      ::close(fd);
+      continue;
+    }
+    session_fds_.push_back(fd);
   }
 }
 
@@ -363,51 +348,51 @@ void Router::SessionLoop(int fd) {
     }
     if (datasets.size() > 1) metrics_.RecordScatter(datasets.size());
 
-    if (attrs.id != 0) {
-      auto op = std::make_shared<ScatterOp>();
-      op->session = session;
-      op->client_id = attrs.id;
-      op->match_shaped = IsMatchShaped(query);
-      op->keep = MergeKeepLimit(query);
-      op->progress = attrs.progress;
-      op->started = std::chrono::steady_clock::now();
-      {
-        MutexLock lock(op->mutex);
-        op->leg_rows.resize(datasets.size());
-        op->leg_frac.assign(datasets.size(), 0.0);
-        op->leg_handles.resize(datasets.size());
-        op->results.resize(datasets.size());
-      }
-      bool duplicate = false;
-      {
-        MutexLock lock(session->mutex);
-        duplicate = !session->ops.emplace(attrs.id, op).second;
-      }
-      if (duplicate) {
-        session->Send(server::RenderErrorBlock(
-            "INVALID_ARGUMENT",
-            "id " + std::to_string(attrs.id) + " is already in flight",
-            attrs.id));
-        continue;
-      }
-      // Tagged: run on a coordinator thread so this session thread can
-      // keep reading (CANCEL must be able to overtake the query).
-      session->op_threads.emplace_back(
-          [this, session, op, query, attrs, datasets]() mutable {
-            RunScatter(session, query, attrs, std::move(datasets));
-            MutexLock lock(session->mutex);
-            session->ops.erase(attrs.id);
-          });
-      // RunScatter reads op state through session->ops; hand the op
-      // over via the registry rather than re-creating it there.
+    auto op = std::make_shared<ScatterOp>();
+    op->session = session;
+    op->request = query;
+    op->attrs = attrs;
+    op->datasets = std::move(datasets);
+    op->match_shaped = IsMatchShaped(query);
+    op->keep = MergeKeepLimit(query);
+    op->started = std::chrono::steady_clock::now();
+    {
+      MutexLock lock(op->mutex);
+      op->leg_rows.resize(op->datasets.size());
+      op->leg_frac.assign(op->datasets.size(), 0.0);
+      op->legs.resize(op->datasets.size());
+      op->pending = op->datasets.size();
+    }
+    bool duplicate = false;
+    {
+      MutexLock lock(session->mutex);
+      duplicate = !session->ops.emplace(attrs.id, op).second;
+    }
+    if (duplicate) {
+      session->Send(server::RenderErrorBlock(
+          "INVALID_ARGUMENT",
+          "id " + std::to_string(attrs.id) + " is already in flight",
+          attrs.id));
       continue;
     }
-    // Untagged: strictly ordered replies — run inline.
-    RunScatter(session, query, attrs, std::move(datasets));
+    for (size_t leg = 0; leg < op->datasets.size(); ++leg) {
+      StartLeg(op, leg, {}, Status::OK());
+    }
+    if (attrs.id == 0) {
+      // Untagged: strictly ordered replies, so wait the query out. A
+      // tagged one runs on from the legs' callbacks while this thread
+      // keeps reading (CANCEL must be able to overtake it).
+      MutexLock lock(session->mutex);
+      while (session->ops.contains(0)) {
+        session->op_finished.Wait(session->mutex);
+      }
+    }
   }
 
-  for (std::thread& op_thread : session->op_threads) {
-    if (op_thread.joinable()) op_thread.join();
+  {
+    // Finals go out on this fd, so it stays open until every op is done.
+    MutexLock lock(session->mutex);
+    while (!session->ops.empty()) session->op_finished.Wait(session->mutex);
   }
   if (session->write_client.has_value()) session->write_client->Close();
   {
@@ -422,122 +407,15 @@ void Router::SessionLoop(int fd) {
   ::close(fd);
 }
 
-void Router::RunScatter(std::shared_ptr<Session> session,
-                        QueryRequest request,
-                        server::RequestAttrs attrs,
-                        std::vector<std::string> datasets) {
-  std::shared_ptr<ScatterOp> op;
-  if (attrs.id != 0) {
-    MutexLock lock(session->mutex);
-    op = session->ops[attrs.id];
+void Router::StartLeg(const std::shared_ptr<ScatterOp>& op, size_t leg,
+                      std::vector<size_t> tried, Status last) {
+  const std::string& dataset = op->datasets[leg];
+  if (last.ok()) {
+    last = Status::IOError("no ready upstream serves '" + dataset + "'");
   }
-  if (op == nullptr) {
-    // Untagged path: the op was not registered (no CANCEL can target
-    // it), so build it here.
-    op = std::make_shared<ScatterOp>();
-    op->session = session;
-    op->client_id = attrs.id;
-    op->match_shaped = IsMatchShaped(request);
-    op->keep = MergeKeepLimit(request);
-    op->progress = attrs.progress;
-    op->started = std::chrono::steady_clock::now();
-    MutexLock lock(op->mutex);
-    op->leg_rows.resize(datasets.size());
-    op->leg_frac.assign(datasets.size(), 0.0);
-    op->leg_handles.resize(datasets.size());
-    op->results.resize(datasets.size());
-  }
-
-  std::vector<std::thread> legs;
-  legs.reserve(datasets.size());
-  for (size_t leg = 0; leg < datasets.size(); ++leg) {
-    legs.emplace_back([this, op, leg, dataset = datasets[leg], &request,
-                       &attrs] { RunLeg(op, leg, dataset, request, attrs); });
-  }
-  for (std::thread& leg : legs) leg.join();
-
-  // All legs are finished; the upstream servers send the final block
-  // after the last PART frame of an id, so no demux callback touches
-  // the op anymore and the merge below sees quiescent state.
-  const uint64_t latency_us = ElapsedMs(op->started) * 1000;
-  metrics_.RecordMergeLatency(static_cast<double>(latency_us) / 1e6);
-
-  MergedStats stats;
-  std::vector<std::vector<std::string>> leg_final_rows(datasets.size());
-  std::vector<std::string> extra;
-  std::string kind;
-  std::string interrupt;
-  bool any_partial = false;
-  bool any_transport_failure = false;
-  Status failure = Status::OK();
-  const server::WireResponse* app_error = nullptr;
-  size_t successes = 0;
-  MutexLock lock(op->mutex);
-  for (size_t leg = 0; leg < op->results.size(); ++leg) {
-    const ScatterOp::LegResult& result = op->results[leg];
-    if (!result.error.ok()) {
-      any_transport_failure = true;
-      failure = result.error;
-      continue;
-    }
-    if (!result.final.ok) {
-      if (app_error == nullptr) app_error = &result.final;
-      continue;
-    }
-    ++successes;
-    if (kind.empty()) kind = result.final.kind;
-    SplitFinalPayload(result.final.payload, &stats, &leg_final_rows[leg],
-                      &extra);
-    if (result.final.partial()) {
-      any_partial = true;
-      if (interrupt.empty()) {
-        interrupt = HeaderString(result.final.header, "interrupt");
-      }
-    }
-  }
-
-  if (app_error != nullptr) {
-    // An upstream understood the query and refused it (bad arguments,
-    // unknown dataset): deterministic on every replica, so propagate.
-    session->Send(server::RenderErrorBlock(app_error->code,
-                                           app_error->message, attrs.id));
-    return;
-  }
-  if (successes == 0) {
-    if (failure.ok()) failure = Status::IOError("every leg failed");
-    session->Send(server::RenderError(failure, attrs.id));
-    return;
-  }
-  if (any_transport_failure) {
-    // Partial coverage: some shards answered, some had no live replica
-    // left. Same contract as a deadline-clipped single-node answer.
-    any_partial = true;
-    if (interrupt.empty()) interrupt = server::WireCode(failure.code());
-  }
-  if (any_partial && interrupt.empty()) {
-    interrupt = server::WireCode(Status::Code::kDeadlineExceeded);
-  }
-
-  std::vector<std::string> rows;
-  if (op->match_shaped) {
-    rows = MergeMatchRows(leg_final_rows, op->keep);
-  } else {
-    for (const auto& leg_rows : leg_final_rows) {
-      rows.insert(rows.end(), leg_rows.begin(), leg_rows.end());
-    }
-  }
-  session->Send(RenderMergedFinal(kind, attrs.id, rows, latency_us,
-                                  any_partial, interrupt, stats, extra));
-}
-
-void Router::RunLeg(std::shared_ptr<ScatterOp> op, size_t leg,
-                    std::string dataset,
-                    const QueryRequest& request,
-                    const server::RequestAttrs& attrs) {
-  std::vector<size_t> tried;
-  Status last =
-      Status::IOError("no ready upstream serves '" + dataset + "'");
-  for (int attempt = 0; attempt <= options_.max_failovers; ++attempt) {
+  for (size_t attempt = tried.size();
+       attempt <= static_cast<size_t>(options_.max_failovers);
+       attempt = tried.size()) {
     {
       MutexLock lock(op->mutex);
       if (op->cancelled) {
@@ -562,15 +440,29 @@ void Router::RunLeg(std::shared_ptr<ScatterOp> op, size_t leg,
 
     server::Client::SubmitOptions submit;
     submit.deadline_ms =
-        RemainingBudgetMs(attrs.deadline_ms, ElapsedMs(op->started));
-    submit.trace = attrs.trace;
+        RemainingBudgetMs(op->attrs.deadline_ms, ElapsedMs(op->started));
+    submit.trace = op->attrs.trace;
     submit.dataset = dataset;
-    if (attrs.progress) {
+    if (op->attrs.progress) {
       submit.on_progress = [op, leg](const server::WireResponse& part) {
         OnLegPart(op, leg, part);
       };
     }
-    auto submitted = client->Submit(request, submit);
+    submit.on_done = [this, op, leg, idx, tried,
+                      weak = std::weak_ptr<server::Client>(client)](
+                         const Result<server::WireResponse>& final) {
+      if (final.ok()) {
+        FinishLeg(op, leg, final);
+        return;
+      }
+      // Transport death with the client's own reconnects exhausted:
+      // drop the link and fail over to the next untried replica. This
+      // runs on the dead link's demux thread, which serves nothing
+      // anymore, so a blocking re-dial here stalls no other query.
+      if (auto dead = weak.lock()) pool_.DropLink(idx, dead.get());
+      StartLeg(op, leg, tried, final.status());
+    };
+    auto submitted = client->Submit(op->request, std::move(submit));
     if (!submitted.ok()) {
       pool_.DropLink(idx, client.get());
       last = submitted.status();
@@ -579,28 +471,114 @@ void Router::RunLeg(std::shared_ptr<ScatterOp> op, size_t leg,
     bool was_cancelled = false;
     {
       MutexLock lock(op->mutex);
-      op->leg_handles[leg] = submitted.value();
+      ScatterOp::Leg& slot = op->legs[leg];
+      if (tried.size() > slot.attempt) {
+        slot.handle = submitted.value();
+        slot.attempt = tried.size();
+      }
       was_cancelled = op->cancelled;
     }
     // Cancel raced the re-submit: the fan-out missed this handle, so
     // deliver it ourselves (idempotent server-side).
     if (was_cancelled) submitted.value().Cancel();
-
-    auto final = submitted.value().Wait();
-    if (final.ok()) {
-      MutexLock lock(op->mutex);
-      op->results[leg].finished = true;
-      op->results[leg].final = std::move(final).value();
-      return;
-    }
-    // Transport death with the client's own reconnects exhausted: drop
-    // the link and fail over to the next untried replica.
-    pool_.DropLink(idx, client.get());
-    last = final.status();
+    return;
   }
-  MutexLock lock(op->mutex);
-  op->results[leg].finished = true;
-  op->results[leg].error = last;
+  FinishLeg(op, leg, last);
+}
+
+void Router::FinishLeg(const std::shared_ptr<ScatterOp>& op, size_t leg,
+                       Result<server::WireResponse> outcome) {
+  {
+    MutexLock lock(op->mutex);
+    ScatterOp::Leg& slot = op->legs[leg];
+    if (outcome.ok()) {
+      slot.final = std::move(outcome).value();
+    } else {
+      slot.error = outcome.status();
+    }
+    if (--op->pending > 0) return;
+  }
+  // The last leg. The upstream servers send the final block after the
+  // last PART frame of an id, so no demux callback touches the merge
+  // state anymore and the merge below sees quiescent state.
+  const uint64_t latency_us = ElapsedMs(op->started) * 1000;
+  metrics_.RecordMergeLatency(static_cast<double>(latency_us) / 1e6);
+  const uint64_t id = op->attrs.id;
+  op->session->Send(RenderFinal(*op, latency_us));
+
+  // Nothing below may touch the router: once the op is gone from the
+  // session, Stop() can complete and the router be destroyed.
+  Session& session = *op->session;
+  MutexLock lock(session.mutex);
+  auto it = session.ops.find(id);
+  if (it != session.ops.end() && it->second == op) session.ops.erase(it);
+  session.op_finished.NotifyAll();
+}
+
+std::string Router::RenderFinal(ScatterOp& op, uint64_t latency_us) {
+  MergedStats stats;
+  std::vector<std::vector<std::string>> leg_final_rows(op.datasets.size());
+  std::vector<std::string> extra;
+  std::string kind;
+  std::string interrupt;
+  bool any_partial = false;
+  bool any_transport_failure = false;
+  Status failure = Status::OK();
+  const server::WireResponse* app_error = nullptr;
+  size_t successes = 0;
+  const uint64_t id = op.attrs.id;
+  MutexLock lock(op.mutex);
+  for (size_t leg = 0; leg < op.legs.size(); ++leg) {
+    if (!op.legs[leg].error.ok()) {
+      any_transport_failure = true;
+      failure = op.legs[leg].error;
+      continue;
+    }
+    const server::WireResponse& final = op.legs[leg].final;
+    if (!final.ok) {
+      if (app_error == nullptr) app_error = &final;
+      continue;
+    }
+    ++successes;
+    if (kind.empty()) kind = final.kind;
+    SplitFinalPayload(final.payload, &stats, &leg_final_rows[leg], &extra);
+    if (final.partial()) {
+      any_partial = true;
+      if (interrupt.empty()) {
+        interrupt = HeaderString(final.header, "interrupt");
+      }
+    }
+  }
+
+  if (app_error != nullptr) {
+    // An upstream understood the query and refused it (bad arguments,
+    // unknown dataset): deterministic on every replica, so propagate.
+    return server::RenderErrorBlock(app_error->code, app_error->message, id);
+  }
+  if (successes == 0) {
+    if (failure.ok()) failure = Status::IOError("every leg failed");
+    return server::RenderError(failure, id);
+  }
+  if (any_transport_failure) {
+    // Partial coverage: some shards answered, some had no live replica
+    // left. Same contract as a deadline-clipped single-node answer.
+    any_partial = true;
+    if (interrupt.empty()) interrupt = server::WireCode(failure.code());
+  }
+  if (any_partial && interrupt.empty()) {
+    interrupt = server::WireCode(Status::Code::kDeadlineExceeded);
+  }
+
+  std::vector<std::string> rows;
+  if (op.match_shaped) {
+    rows = MergeMatchRows(leg_final_rows, op.keep);
+  } else {
+    for (const auto& leg_rows : leg_final_rows) {
+      rows.insert(rows.end(), leg_rows.begin(), leg_rows.end());
+    }
+  }
+  return RenderMergedFinal(kind, id, rows, latency_us, any_partial, interrupt,
+                           stats, extra);
 }
 
 void Router::OnLegPart(const std::shared_ptr<ScatterOp>& op, size_t leg,
@@ -620,7 +598,7 @@ void Router::OnLegPart(const std::shared_ptr<ScatterOp>& op, size_t leg,
     // Best-so-far snapshot stream (q1/q1k): replace this leg's rows and
     // re-rank the union into one merged top-k snapshot.
     op->leg_rows[leg] = part.payload;
-    frame = RenderScatterPart(part.kind, op->client_id, op->seq++,
+    frame = RenderScatterPart(part.kind, op->attrs.id, op->seq++,
                               merged_frac, /*snapshot=*/true,
                               MergeMatchRows(op->leg_rows, op->keep));
   } else {
@@ -628,7 +606,7 @@ void Router::OnLegPart(const std::shared_ptr<ScatterOp>& op, size_t leg,
     // origin. Never a snapshot downstream — no single frame covers the
     // whole scattered answer.
     if (part.payload.empty()) return;
-    frame = RenderScatterPart(part.kind, op->client_id, op->seq++,
+    frame = RenderScatterPart(part.kind, op->attrs.id, op->seq++,
                               merged_frac, /*snapshot=*/false, part.payload);
   }
   // Sent under op->mutex so downstream seq numbers are monotone on the
@@ -727,7 +705,7 @@ void Router::CancelOp(const std::shared_ptr<Session>& session, uint64_t id) {
   {
     MutexLock lock(op->mutex);
     op->cancelled = true;
-    handles = op->leg_handles;
+    for (const ScatterOp::Leg& leg : op->legs) handles.push_back(leg.handle);
   }
   size_t fanned = 0;
   for (server::Client::Handle& handle : handles) {

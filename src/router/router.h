@@ -20,13 +20,15 @@
 //     grammar. Writes are NEVER auto-retried.
 //
 // Concurrency model: one session thread per downstream client (reads
-// lines, answers control verbs inline), one coordinator thread per
-// tagged scattered query (so CANCEL can overtake it on the session
-// thread), one leg thread per upstream dataset of a scattered query,
-// plus each upstream link's demux reader delivering PART frames into
-// the per-query merge state machine. Lock order: routing table (44) <
-// upstream pool (46) < merge op (48) < session write (52) < client
-// locks (70+).
+// lines, answers control verbs inline) and one demux thread per
+// upstream link; nothing per query or per leg. The session thread
+// submits a query's legs with completion callbacks and goes on reading
+// (an untagged query waits for its op, keeping replies in order). Each
+// upstream link's demux thread then drives the per-query merge state
+// machine: it relays PART frames, re-submits a leg whose link died to
+// the next replica, and the last leg to finish sends the merged final.
+// Lock order: routing table (44) < upstream pool (46) < merge op (48) <
+// session write (52) < session state (54) < client locks (70+).
 
 #ifndef ONEX_ROUTER_ROUTER_H_
 #define ONEX_ROUTER_ROUTER_H_
@@ -80,20 +82,22 @@ class Router {
 
   explicit Router(RouterOptions options);
 
-  Status Listen();
   void AcceptLoop();
   void SessionLoop(int fd);
 
-  /// Runs one (possibly scattered) query to its merged final block.
-  /// Blocks until done — tagged queries run it on a per-op thread.
-  void RunScatter(std::shared_ptr<Session> session,
-                  QueryRequest request, server::RequestAttrs attrs,
-                  std::vector<std::string> datasets);
-  /// One upstream leg: pick replica, submit, wait; on transport failure
-  /// fail over to the next untried replica with the remaining budget.
-  void RunLeg(std::shared_ptr<ScatterOp> op, size_t leg,
-              std::string dataset, const QueryRequest& request,
-              const server::RequestAttrs& attrs);
+  /// Submits leg `leg` to the first replica not in `tried` that takes
+  /// it, with the deadline budget that remains; a transport failure
+  /// re-enters here from the dead link's callback with that failure as
+  /// `last`. Finishes the leg with the last error when no replica is
+  /// left. Never blocks on the query itself.
+  void StartLeg(const std::shared_ptr<ScatterOp>& op, size_t leg,
+                std::vector<size_t> tried, Status last);
+  /// Records a leg's outcome; the last leg sends the merged final and
+  /// retires the op from its session.
+  void FinishLeg(const std::shared_ptr<ScatterOp>& op, size_t leg,
+                 Result<server::WireResponse> outcome);
+  /// The merged final (or error) block of an op whose legs all ended.
+  static std::string RenderFinal(ScatterOp& op, uint64_t latency_us);
   /// Demux-thread PART delivery into the merge state machine.
   static void OnLegPart(const std::shared_ptr<ScatterOp>& op, size_t leg,
                         const server::WireResponse& part);

@@ -35,8 +35,9 @@ void UpstreamPool::Stop() {
   }
   probe_threads_.clear();
   // Close the query links after the probes: Close joins each link's
-  // demux thread, and nothing submits anymore once the router's
-  // sessions are down (the router stops sessions before the pool).
+  // demux thread. A failover callback running meanwhile finds no link
+  // to re-submit to (QueryLink refuses once stopping) and finishes its
+  // leg with the error.
   std::vector<std::shared_ptr<server::Client>> links;
   {
     MutexLock lock(mutex_);

@@ -59,8 +59,9 @@ class UpstreamPool {
   Result<std::shared_ptr<server::Client>> QueryLink(size_t i);
 
   /// Discards upstream `i`'s query link if it still is `dead` (a link
-  /// whose Wait/Submit returned IOError), so the next QueryLink dials
-  /// fresh instead of reusing a client whose demux has exited.
+  /// whose Submit or query completion returned IOError), so the next
+  /// QueryLink dials fresh instead of reusing a client whose demux has
+  /// exited. Safe to call from that link's own demux thread.
   void DropLink(size_t i, const server::Client* dead);
 
   /// Parses a HEALTH reply block into the probe's health view: ready/

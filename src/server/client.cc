@@ -15,6 +15,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -91,6 +92,7 @@ Result<int> DialFd(const std::string& host, uint16_t port,
                        sizeof(addr)) < 0) {
     return fail("connect");
   }
+  SetNoDelay(fd);
   if (options.io_timeout_ms > 0) {
     Status armed = SetSockTimeout(fd, SO_RCVTIMEO, options.io_timeout_ms);
     if (armed.ok()) armed = SetSockTimeout(fd, SO_SNDTIMEO, options.io_timeout_ms);
@@ -123,7 +125,11 @@ struct Client::Handle::State {
   std::optional<WireResponse> final GUARDED_BY(mutex);
   /// Error when the socket failed.
   Status transport GUARDED_BY(mutex) = Status::OK();
+  /// Both cleared by Client::Complete: a callback that outlived its
+  /// query would keep every capture alive for as long as any copy of
+  /// the handle exists.
   ProgressCallback on_progress GUARDED_BY(mutex);
+  DoneCallback on_done GUARDED_BY(mutex);
 
   // Cancel-acknowledgement rendezvous (one cancel in flight at a time).
   bool cancel_pending GUARDED_BY(mutex) = false;
@@ -135,7 +141,15 @@ struct Client::Handle::State {
 /// Self-contained async state: the demux thread reads blocks from the
 /// socket and routes them; senders serialize on `send_mutex`. Shared by
 /// the Client and every Handle so either side may outlive the other.
+/// Owns the socket: it is closed when the last reference goes, so a
+/// demux thread still running after a Close() from its own callback
+/// never reads a recycled descriptor.
 struct Client::Demux {
+  ~Demux() {
+    const int open_fd = fd.load(std::memory_order_relaxed);
+    if (open_fd >= 0) ::close(open_fd);
+  }
+
   // All set once in EnsureDemux before the demux is shared (fd and
   // reader are then re-assigned only by TryReconnect, on the demux
   // thread, under send_mutex + mutex).
@@ -204,13 +218,7 @@ struct Client::Demux {
       failed_cancels.swap(cancel_waiters);
       failed_untagged.swap(untagged);
     }
-    for (auto& [id, state] : failed_tagged) {
-      MutexLock lock(state->mutex);
-      state->done = true;
-      state->transport = reason;
-      state->cancel_pending = false;
-      state->cv.NotifyAll();
-    }
+    for (auto& [id, state] : failed_tagged) Complete(state, reason);
     for (auto& [id, state] : failed_cancels) {
       MutexLock lock(state->mutex);
       if (!state->done) {
@@ -361,10 +369,7 @@ void Client::DemuxLoop(std::shared_ptr<Demux> demux) {
     if (id != 0) {
       if (auto state = find_tagged(id, /*erase=*/true)) {
         // The final reply for this id.
-        MutexLock lock(state->mutex);
-        state->final = std::move(block);
-        state->done = true;
-        state->cv.NotifyAll();
+        Complete(state, std::move(block));
         continue;
       }
       // Not in flight: the structured no-op ERR acknowledging a CANCEL
@@ -385,6 +390,33 @@ void Client::DemuxLoop(std::shared_ptr<Demux> demux) {
     }
     deliver_untagged();
   }
+}
+
+void Client::Complete(const std::shared_ptr<Handle::State>& state,
+                      Result<WireResponse> outcome) {
+  ProgressCallback on_progress;
+  DoneCallback on_done;
+  {
+    MutexLock lock(state->mutex);
+    on_progress.swap(state->on_progress);
+    on_done.swap(state->on_done);
+  }
+  // Captures are released before Wait() can return, so a waiter that
+  // owned them sees them gone.
+  on_progress = nullptr;
+  if (on_done) {
+    on_done(outcome);
+    on_done = nullptr;
+  }
+  MutexLock lock(state->mutex);
+  if (outcome.ok()) {
+    state->final = std::move(outcome).value();
+  } else {
+    state->transport = outcome.status();
+  }
+  state->done = true;
+  state->cancel_pending = false;
+  state->cv.NotifyAll();
 }
 
 bool Client::TryReconnect(const std::shared_ptr<Demux>& demux) {
@@ -542,7 +574,7 @@ Status Client::Handle::Cancel() {
 void Client::Handle::OnProgress(ProgressCallback callback) {
   if (state_ == nullptr) return;
   MutexLock lock(state_->mutex);
-  state_->on_progress = std::move(callback);
+  if (!state_->done) state_->on_progress = std::move(callback);
 }
 
 uint64_t Client::Handle::id() const {
@@ -613,11 +645,19 @@ void Client::Close() {
   if (demux != nullptr) {
     // Flag closing + unblock the demux thread's read, then reap it.
     // Fail runs on the demux thread on its way out. The demux owns the
-    // socket's lifetime once started (fd_ is stale after a reconnect),
-    // so close ITS fd, not fd_.
+    // socket once started (fd_ is stale after a reconnect) and closes
+    // it when the last reference drops — here, after the join.
     demux->Shutdown();
-    if (demux->thread.joinable()) demux->thread.join();
-    ::close(demux->fd.load(std::memory_order_relaxed));
+    if (demux->thread.get_id() == std::this_thread::get_id()) {
+      // Close() from a callback on this client's own demux thread (the
+      // router drops a dead link from inside the link's failure
+      // callback): a thread cannot join itself. It returns to its loop,
+      // sees the shutdown and exits; the Demux it runs on is shared-
+      // owned by the thread, so nothing it touches is freed under it.
+      demux->thread.detach();
+    } else if (demux->thread.joinable()) {
+      demux->thread.join();
+    }
     fd_ = -1;
     reader_.reset();
   }
@@ -675,7 +715,18 @@ Result<std::shared_ptr<Client::Demux>> Client::EnsureDemux() {
     reader_ = std::make_unique<SocketLineReader>(fd_, kMaxReplyLine);
   }
   demux_->reader = std::move(reader_);  // The demux thread owns reads now.
-  demux_->thread = std::thread([demux = demux_] { DemuxLoop(demux); });
+  try {
+    demux_->thread = std::thread([demux = demux_] { DemuxLoop(demux); });
+  } catch (const std::system_error& e) {
+    // Out of threads: stay in blocking mode and give the socket back.
+    reader_ = std::move(demux_->reader);
+    demux_->fd.store(-1, std::memory_order_relaxed);
+    demux_ = nullptr;
+    if (options_.io_timeout_ms > 0) {
+      SetSockTimeout(fd_, SO_RCVTIMEO, options_.io_timeout_ms);
+    }
+    return Status::IOError(std::string("demux thread: ") + e.what());
+  }
   return demux_;
 }
 
@@ -694,6 +745,7 @@ Result<Client::Handle> Client::Submit(const QueryRequest& request,
   handle.state_->id = next_id_.fetch_add(1) + 1;
   handle.state_->demux = demux;
   handle.state_->on_progress = options.on_progress;
+  handle.state_->on_done = std::move(options.on_done);
 
   RequestAttrs attrs;
   attrs.id = handle.state_->id;
@@ -710,7 +762,9 @@ Result<Client::Handle> Client::Submit(const QueryRequest& request,
   const Status sent = demux->Send(handle.state_->request_line);
   if (!sent.ok()) {
     MutexLock lock(demux->mutex);
-    demux->tagged.erase(handle.state_->id);
+    // Gone from `tagged` already: the dying demux has taken the query
+    // and completes it (on_done included) with the transport error.
+    if (demux->tagged.erase(handle.state_->id) == 0) return handle;
     return sent;
   }
   return handle;

@@ -9,9 +9,10 @@
 //   Handle immediately; a demultiplexer thread (started lazily on the
 //   first Submit) reads blocks off the socket and routes them by id —
 //   PART progress frames to the handle's OnProgress callback, the final
-//   tagged reply to Handle::Wait(), untagged blocks to whichever
-//   Roundtrip is waiting. Handle::Cancel() sends `cancel <id>` without
-//   waiting for the query, which is the whole point. Several queries
+//   tagged reply to the optional on_done callback and Handle::Wait(),
+//   untagged blocks to whichever Roundtrip is waiting.
+//   Handle::Cancel() sends `cancel <id>` without waiting for the
+//   query, which is the whole point. Several queries
 //   can be in flight at once (pipelined, answered out of order).
 //
 // One Client is one session (one socket). Blocking mode is not
@@ -73,6 +74,11 @@ class Client {
   /// WireResponse::part_shape() to tell match / GROUP / REC frames
   /// apart; payload rows are byte-identical to final-block rows.
   using ProgressCallback = std::function<void(const WireResponse&)>;
+  /// Called once per query with its final reply block, or with the
+  /// transport error once the demux gave up (reconnects exhausted or
+  /// the client closed). Runs on the demux thread; it may submit to
+  /// other clients, and it may Close() its own client.
+  using DoneCallback = std::function<void(const Result<WireResponse>&)>;
 
   struct SubmitOptions {
     /// DEADLINE_MS attribute; 0 = unbounded.
@@ -81,6 +87,10 @@ class Client {
     /// callback receives them. Prefer passing it here over
     /// Handle::OnProgress — frames can arrive before OnProgress runs.
     ProgressCallback on_progress;
+    /// When set, runs on completion before Wait() returns. Every
+    /// callback of a query is released once it completes, so captures
+    /// never outlive the query.
+    DoneCallback on_done;
     /// v8 DATASET attribute: run against this dataset instead of the
     /// session's bound one (empty = bound). What the router's upstream
     /// legs use — one multiplexed session serves every dataset.
@@ -109,7 +119,7 @@ class Client {
     Status Cancel();
 
     /// Replaces the progress callback (frames already delivered are
-    /// gone). Runs on the demux thread.
+    /// gone). Runs on the demux thread. Ignored once the query is done.
     void OnProgress(ProgressCallback callback);
 
     /// The request id on the wire; 0 for a default-constructed handle.
@@ -187,6 +197,11 @@ class Client {
   /// Reads blocks and routes them until the socket dies (demux thread
   /// body).
   static void DemuxLoop(std::shared_ptr<Demux> demux);
+
+  /// Completes one tagged query exactly once: releases its callbacks,
+  /// runs on_done with `outcome`, then wakes Wait().
+  static void Complete(const std::shared_ptr<Handle::State>& state,
+                       Result<WireResponse> outcome);
 
   /// Demux-thread reconnect: dial again, swap the socket in, and
   /// re-submit every unanswered tagged query. False when reconnecting

@@ -219,9 +219,8 @@ std::string ServerMetrics::Render() const {
   return out;
 }
 
-namespace {
+namespace prometheus {
 
-/// `# HELP` / `# TYPE` preamble for one metric family.
 void Preamble(std::string* out, const char* name, const char* type,
               const char* help) {
   *out += "# HELP ";
@@ -235,17 +234,13 @@ void Preamble(std::string* out, const char* name, const char* type,
   *out += '\n';
 }
 
-void CounterLine(std::string* out, const char* name, uint64_t value) {
+void SimpleCounter(std::string* out, const char* name, const char* help,
+                   uint64_t value) {
+  Preamble(out, name, "counter", help);
   char line[128];
   std::snprintf(line, sizeof(line), "%s %llu\n", name,
                 static_cast<unsigned long long>(value));
   *out += line;
-}
-
-void SimpleCounter(std::string* out, const char* name, const char* help,
-                   uint64_t value) {
-  Preamble(out, name, "counter", help);
-  CounterLine(out, name, value);
 }
 
 void GaugeLine(std::string* out, const char* name, const char* help,
@@ -256,9 +251,6 @@ void GaugeLine(std::string* out, const char* name, const char* help,
   *out += line;
 }
 
-/// One histogram family: cumulative _bucket lines for non-empty buckets
-/// (a sparse-but-monotonic series is valid exposition format), the
-/// mandatory le="+Inf" bucket, then _sum and _count.
 void HistogramFamily(std::string* out, const char* name, const char* help,
                      const LatencyHistogram& histogram) {
   Preamble(out, name, "histogram", help);
@@ -284,7 +276,42 @@ void HistogramFamily(std::string* out, const char* name, const char* help,
   *out += line;
 }
 
-}  // namespace
+void ProcessGauges(std::string* out, const ProcessStats& process) {
+  GaugeLine(out, "onex_process_uptime_seconds",
+            "Seconds since process start.", process.uptime_seconds);
+  GaugeLine(out, "onex_process_resident_memory_bytes",
+            "Resident set size in bytes (0 = unreadable).",
+            static_cast<double>(process.rss_bytes));
+  GaugeLine(out, "onex_process_virtual_memory_bytes",
+            "Virtual memory size (VmSize) in bytes (0 = unreadable).",
+            static_cast<double>(process.vm_bytes));
+  GaugeLine(out, "onex_process_open_fds",
+            "Open file descriptors (-1 = unreadable).",
+            static_cast<double>(process.open_fds));
+  GaugeLine(out, "onex_process_threads",
+            "Kernel threads in the process (-1 = unreadable).",
+            static_cast<double>(process.threads));
+  char line[128];
+  Preamble(out, "onex_process_cpu_user_seconds_total", "counter",
+           "User-mode CPU time consumed (getrusage).");
+  std::snprintf(line, sizeof(line),
+                "onex_process_cpu_user_seconds_total %.9g\n",
+                process.cpu_user_seconds);
+  *out += line;
+  Preamble(out, "onex_process_cpu_sys_seconds_total", "counter",
+           "Kernel-mode CPU time consumed (getrusage).");
+  std::snprintf(line, sizeof(line),
+                "onex_process_cpu_sys_seconds_total %.9g\n",
+                process.cpu_sys_seconds);
+  *out += line;
+}
+
+}  // namespace prometheus
+
+using prometheus::GaugeLine;
+using prometheus::HistogramFamily;
+using prometheus::Preamble;
+using prometheus::SimpleCounter;
 
 std::string ServerMetrics::RenderPrometheus(
     const GaugeSnapshot& gauges) const {
@@ -449,29 +476,7 @@ std::string ServerMetrics::RenderPrometheus(
             static_cast<double>(gauges.replica_last_applied_seq));
 
   // ---- process-level resource gauges (sampled at render time).
-  GaugeLine(&out, "onex_process_uptime_seconds",
-            "Seconds since process start.", gauges.process.uptime_seconds);
-  GaugeLine(&out, "onex_process_resident_memory_bytes",
-            "Resident set size in bytes (0 = unreadable).",
-            static_cast<double>(gauges.process.rss_bytes));
-  GaugeLine(&out, "onex_process_open_fds",
-            "Open file descriptors (-1 = unreadable).",
-            static_cast<double>(gauges.process.open_fds));
-  GaugeLine(&out, "onex_process_threads",
-            "Kernel threads in the process (-1 = unreadable).",
-            static_cast<double>(gauges.process.threads));
-  Preamble(&out, "onex_process_cpu_user_seconds_total", "counter",
-           "User-mode CPU time consumed (getrusage).");
-  std::snprintf(line, sizeof(line),
-                "onex_process_cpu_user_seconds_total %.9g\n",
-                gauges.process.cpu_user_seconds);
-  out += line;
-  Preamble(&out, "onex_process_cpu_sys_seconds_total", "counter",
-           "Kernel-mode CPU time consumed (getrusage).");
-  std::snprintf(line, sizeof(line),
-                "onex_process_cpu_sys_seconds_total %.9g\n",
-                gauges.process.cpu_sys_seconds);
-  out += line;
+  prometheus::ProcessGauges(&out, gauges.process);
   return out;
 }
 

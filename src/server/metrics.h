@@ -69,6 +69,29 @@ class LatencyHistogram {
   double total_seconds_ = 0.0;
 };
 
+/// Prometheus text-exposition writers shared by every ONEX process
+/// kind (data node and router), so the grammar that
+/// scripts/check_metrics.sh lints has one implementation.
+namespace prometheus {
+
+/// `# HELP` / `# TYPE` preamble for one metric family.
+void Preamble(std::string* out, const char* name, const char* type,
+              const char* help);
+void SimpleCounter(std::string* out, const char* name, const char* help,
+                   uint64_t value);
+void GaugeLine(std::string* out, const char* name, const char* help,
+               double value);
+/// One histogram family: cumulative _bucket lines for non-empty buckets
+/// (a sparse-but-monotonic series is valid exposition format), the
+/// mandatory le="+Inf" bucket, then _sum and _count.
+void HistogramFamily(std::string* out, const char* name, const char* help,
+                     const LatencyHistogram& histogram);
+/// The onex_process_* families, identical on every process kind so one
+/// dashboard row template fits every hop.
+void ProcessGauges(std::string* out, const ProcessStats& process);
+
+}  // namespace prometheus
+
 /// Point-in-time gauges rendered by RenderPrometheus. Assembled by the
 /// SERVER at render time — queue depth under the queue mutex, catalog
 /// and WAL figures from the catalog — never by ServerMetrics itself:

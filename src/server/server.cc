@@ -1,7 +1,5 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -15,6 +13,7 @@
 #include <iterator>
 #include <map>
 #include <sstream>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -165,8 +164,10 @@ Result<std::unique_ptr<Server>> Server::Start(
     ServerOptions options, std::shared_ptr<Catalog> catalog) {
   std::unique_ptr<Server> server(
       new Server(std::move(options), std::move(catalog)));
-  const Status listening = server->Listen();
-  if (!listening.ok()) return listening;
+  auto listening = ListenTcp(server->options_.host, server->options_.port,
+                             &server->port_);
+  if (!listening.ok()) return listening.status();
+  server->listen_fd_ = listening.value();
   {
     // Workers don't exist yet, but the analysis (rightly) can't assume
     // that — size the per-worker slots under the queue lock.
@@ -184,38 +185,6 @@ Result<std::unique_ptr<Server>> Server::Start(
 }
 
 Server::~Server() { Stop(); }
-
-Status Server::Listen() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad host '" + options_.host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    return Status::IOError("bind " + options_.host + ":" +
-                           std::to_string(options_.port) + ": " +
-                           std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 64) < 0) {
-    return Status::IOError(std::string("listen: ") + std::strerror(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
-  return Status::OK();
-}
 
 void Server::AcceptLoop() {
   while (!stop_.load()) {
@@ -235,14 +204,24 @@ void Server::AcceptLoop() {
       break;
     }
     ReapFinishedSessionsLocked();
-    session_fds_.insert(fd);
+    SetNoDelay(fd);
     auto done = std::make_shared<std::atomic<bool>>(false);
-    session_threads_.push_back(
-        {std::thread([this, fd, done] {
-           SessionLoop(fd);
-           done->store(true);
-         }),
-         done});
+    try {
+      session_threads_.push_back(
+          {std::thread([this, fd, done] {
+             SessionLoop(fd);
+             done->store(true);
+           }),
+           done});
+    } catch (const std::system_error& e) {
+      // Out of threads: refuse this client, keep serving the others.
+      SendAll(fd, RenderErrorBlock(
+                      kOverloadedCode,
+                      std::string("no session thread: ") + e.what()));
+      ::close(fd);
+      continue;
+    }
+    session_fds_.insert(fd);
   }
 }
 

@@ -226,7 +226,6 @@ class Server {
 
   Server(ServerOptions options, std::shared_ptr<Catalog> catalog);
 
-  Status Listen();
   void AcceptLoop();
   void SessionLoop(int fd);
   void WorkerLoop(size_t index);

@@ -1,11 +1,59 @@
 #include "server/socket_io.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 
 namespace onex {
 namespace server {
+
+Result<int> ListenTcp(const std::string& host, uint16_t port,
+                      uint16_t* bound_port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::IOError(std::string("socket: ") + std::strerror(errno));
+  }
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    ::close(fd);
+    return Status::InvalidArgument("bad host '" + host + "'");
+  }
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    const Status status =
+        Status::IOError("bind " + host + ":" + std::to_string(port) + ": " +
+                        std::strerror(errno));
+    ::close(fd);
+    return status;
+  }
+  if (::listen(fd, 64) < 0) {
+    const Status status =
+        Status::IOError(std::string("listen: ") + std::strerror(errno));
+    ::close(fd);
+    return status;
+  }
+  sockaddr_in bound{};
+  socklen_t len = sizeof(bound);
+  *bound_port = port;
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
+    *bound_port = ntohs(bound.sin_port);
+  }
+  return fd;
+}
+
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
 
 bool SendAll(int fd, const std::string& data) {
   size_t sent = 0;

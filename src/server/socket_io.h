@@ -8,10 +8,25 @@
 #define ONEX_SERVER_SOCKET_IO_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+
+#include "util/status.h"
 
 namespace onex {
 namespace server {
+
+/// Opens a TCP listening socket on host:port (0 = ephemeral) with
+/// SO_REUSEADDR and returns its fd; *bound_port receives the port the
+/// kernel actually bound.
+Result<int> ListenTcp(const std::string& host, uint16_t port,
+                      uint16_t* bound_port);
+
+/// Disables Nagle's algorithm on a connected TCP socket. A reply that
+/// goes out as several writes (a PART frame, then the final block)
+/// otherwise holds its last write until the peer's delayed ACK, ~40 ms.
+/// Best-effort: a failure only costs latency.
+void SetNoDelay(int fd);
 
 /// Writes the whole buffer; best-effort (a dying peer just ends the
 /// session on its next read). Returns false on transport failure.

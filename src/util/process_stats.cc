@@ -18,17 +18,19 @@ namespace {
 const std::chrono::steady_clock::time_point g_process_start =
     std::chrono::steady_clock::now();
 
-uint64_t ReadRssBytes() {
-  // /proc/self/statm field 2 is resident pages.
+/// /proc/self/statm fields 1 and 2: total and resident pages.
+void ReadMemoryBytes(uint64_t* vm_bytes, uint64_t* rss_bytes) {
   FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
+  if (f == nullptr) return;
   unsigned long long size = 0;
   unsigned long long resident = 0;
   const int matched = std::fscanf(f, "%llu %llu", &size, &resident);
   std::fclose(f);
-  if (matched != 2) return 0;
+  if (matched != 2) return;
   const long page = ::sysconf(_SC_PAGESIZE);
-  return resident * static_cast<uint64_t>(page > 0 ? page : 4096);
+  const uint64_t page_bytes = static_cast<uint64_t>(page > 0 ? page : 4096);
+  *vm_bytes = size * page_bytes;
+  *rss_bytes = resident * page_bytes;
 }
 
 int64_t CountOpenFds() {
@@ -68,7 +70,7 @@ ProcessStats SampleProcessStats() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     g_process_start)
           .count();
-  stats.rss_bytes = ReadRssBytes();
+  ReadMemoryBytes(&stats.vm_bytes, &stats.rss_bytes);
   stats.open_fds = CountOpenFds();
   stats.threads = ReadThreadCount();
   struct rusage usage;

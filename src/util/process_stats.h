@@ -1,9 +1,9 @@
 // Copyright 2026 The ONEX Reproduction Authors.
 // Process-level resource gauges for the METRICS exposition: uptime,
-// resident set size, open file descriptors, CPU time split user/sys,
-// and thread count. Sampled on demand (one /proc read per METRICS
-// call, nothing resident) — the sampling cost lands on the curious
-// client, not the query path.
+// resident and virtual memory size, open file descriptors, CPU time
+// split user/sys, and thread count. Sampled on demand (one /proc read
+// per METRICS call, nothing resident) — the sampling cost lands on the
+// curious client, not the query path.
 
 #ifndef ONEX_UTIL_PROCESS_STATS_H_
 #define ONEX_UTIL_PROCESS_STATS_H_
@@ -15,6 +15,9 @@ namespace onex {
 struct ProcessStats {
   double uptime_seconds = 0.0;   ///< Since process start (steady clock).
   uint64_t rss_bytes = 0;        ///< Resident set size; 0 if unreadable.
+  /// Virtual memory size (VmSize); 0 if unreadable. Grows by a whole
+  /// stack per thread that is never joined, long before RSS notices.
+  uint64_t vm_bytes = 0;
   int64_t open_fds = -1;         ///< Open descriptors; -1 if unreadable.
   double cpu_user_seconds = 0.0;  ///< getrusage ru_utime.
   double cpu_sys_seconds = 0.0;   ///< getrusage ru_stime.

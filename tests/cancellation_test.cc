@@ -5,7 +5,11 @@
 // (async Submit/Cancel handles, CANCEL of a completed id as a
 // structured no-op ERR, a v2-style session against the v3 server).
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -521,6 +525,88 @@ TEST_F(CancellationServerTest, TaggedQueriesMultiplexOutOfOrder) {
   ASSERT_TRUE(slow_final.ok());
   ASSERT_TRUE(slow_final.value().ok);
   EXPECT_TRUE(slow_final.value().partial());
+}
+
+TEST_F(CancellationServerTest, CallbacksAreReleasedWhenTheFinalArrives) {
+  // A handle that outlives its query must not keep the query's callback
+  // captures alive: the router's legs capture their whole merge state.
+  StartServer(server::ServerOptions{});
+  server::Client client = Connect();
+  ASSERT_TRUE(client.Roundtrip("use market").ok());
+
+  auto sentinel = std::make_shared<int>(0);
+  std::atomic<int> done_calls{0};
+  std::atomic<bool> done_ok{false};
+  server::Client::SubmitOptions submit;
+  submit.on_progress = [sentinel](const server::WireResponse&) {};
+  submit.on_done = [sentinel, &done_calls,
+                    &done_ok](const Result<server::WireResponse>& final) {
+    done_ok.store(final.ok() && final.value().ok);
+    done_calls.fetch_add(1);
+  };
+  auto handle = client.Submit(BroadRange(), std::move(submit));
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  auto final = handle.value().Wait();
+  ASSERT_TRUE(final.ok()) << final.status().ToString();
+  EXPECT_TRUE(final.value().ok);
+  // on_done ran exactly once, before Wait() returned, with the final.
+  EXPECT_EQ(done_calls.load(), 1);
+  EXPECT_TRUE(done_ok.load());
+  EXPECT_EQ(sentinel.use_count(), 1);
+  // A late OnProgress on a finished handle is dropped, not retained.
+  handle.value().OnProgress([sentinel](const server::WireResponse&) {});
+  EXPECT_EQ(sentinel.use_count(), 1);
+}
+
+TEST(ClientCallbackTest, CallbacksAreReleasedWhenTheTransportFails) {
+  // A fake node: greets, swallows one request line, hangs up.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  std::thread node([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    const std::string greeting = "ONEX/8 ready\n";
+    ::send(fd, greeting.data(), greeting.size(), MSG_NOSIGNAL);
+    char c = 0;
+    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') {
+    }
+    ::close(fd);
+  });
+
+  auto client = server::Client::Connect("127.0.0.1", ntohs(addr.sin_port));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto sentinel = std::make_shared<int>(0);
+  std::atomic<int> done_calls{0};
+  std::atomic<bool> done_failed{false};
+  server::Client::SubmitOptions submit;
+  submit.on_progress = [sentinel](const server::WireResponse&) {};
+  submit.on_done = [sentinel, &done_calls,
+                    &done_failed](const Result<server::WireResponse>& final) {
+    done_failed.store(!final.ok());
+    done_calls.fetch_add(1);
+  };
+  auto handle = client.value().Submit(BroadRange(), std::move(submit));
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  auto final = handle.value().Wait();
+  EXPECT_FALSE(final.ok());
+  EXPECT_EQ(final.status().code(), Status::Code::kIOError);
+  EXPECT_EQ(done_calls.load(), 1);
+  EXPECT_TRUE(done_failed.load());
+  EXPECT_EQ(sentinel.use_count(), 1);
+
+  node.join();
+  client.value().Close();
+  ::close(listener);
 }
 
 TEST_F(CancellationServerTest, V2StyleSessionWorksAgainstV3Server) {

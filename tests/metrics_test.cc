@@ -187,6 +187,34 @@ TEST(PrometheusRenderTest, OutputObeysExpositionGrammar) {
   EXPECT_NE(out.find("quantile=\"0.999\""), std::string::npos);
 }
 
+TEST(PrometheusRenderTest, ProcessGaugesCarryVirtualMemory) {
+  // Data nodes and routers render the process families through one
+  // writer; VmSize is the gauge that shows unjoined thread stacks.
+  ProcessStats process;
+  process.rss_bytes = 4096;
+  process.vm_bytes = 123456789;
+  process.threads = 7;
+  std::string out;
+  prometheus::ProcessGauges(&out, process);
+  for (const char* family :
+       {"onex_process_uptime_seconds", "onex_process_resident_memory_bytes",
+        "onex_process_virtual_memory_bytes", "onex_process_open_fds",
+        "onex_process_threads", "onex_process_cpu_user_seconds_total",
+        "onex_process_cpu_sys_seconds_total"}) {
+    EXPECT_NE(out.find(std::string("# TYPE ") + family + " "),
+              std::string::npos)
+        << family;
+  }
+  EXPECT_NE(out.find("onex_process_virtual_memory_bytes 123456789\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("onex_process_threads 7\n"), std::string::npos);
+
+  GaugeSnapshot gauges;
+  gauges.process = process;
+  const std::string server_out = ServerMetrics().RenderPrometheus(gauges);
+  EXPECT_NE(server_out.find(out), std::string::npos);
+}
+
 TEST(PrometheusRenderTest, HistogramBucketsAreCumulativeWithInf) {
   ServerMetrics metrics;
   CascadeStats none;

@@ -23,6 +23,7 @@ TEST(ProcessStatsTest, SampleReportsLiveValues) {
 #ifdef __linux__
   // A running test binary certainly has memory, fds, and a thread.
   EXPECT_GT(stats.rss_bytes, 0u);
+  EXPECT_GE(stats.vm_bytes, stats.rss_bytes);
   EXPECT_GT(stats.open_fds, 0);
   EXPECT_GE(stats.threads, 1);
 #endif

@@ -14,7 +14,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <map>
@@ -616,6 +618,103 @@ TEST_F(RouterWireTest, DeadlineBudgetPropagatesToUpstreamLegs) {
   ASSERT_TRUE(final.value().ok) << final.value().message;
   EXPECT_TRUE(final.value().partial());
   EXPECT_EQ(final.value().header.at("interrupt"), "DEADLINE_EXCEEDED");
+}
+
+/// One numeric field of /proc/self/status ("Threads:", "VmSize:"), or
+/// -1 when unreadable.
+long long ProcStatus(const char* field) {
+  FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  char line[256];
+  long long value = -1;
+  const size_t len = std::strlen(field);
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, field, len) == 0) {
+      value = std::atoll(line + len);
+      break;
+    }
+  }
+  std::fclose(f);
+  return value;
+}
+
+/// A tagged progress=1 query through `client`, waited out.
+Result<server::WireResponse> SubmitProgress(server::Client& client,
+                                            const QueryRequest& query,
+                                            const std::string& dataset) {
+  server::Client::SubmitOptions submit;
+  submit.dataset = dataset;
+  submit.on_progress = [](const server::WireResponse&) {};
+  auto handle = client.Submit(query, std::move(submit));
+  if (!handle.ok()) return handle.status();
+  return handle.value().Wait();
+}
+
+TEST_F(RouterWireTest, TaggedQueriesRetainNoThreadsOrMappings) {
+  // Every tagged query used to leave a coordinator thread behind until
+  // its session ended, and each scatter leg ran on a thread of its own.
+  // A session of sequential tagged progress queries must hold the
+  // process's threads and address space flat.
+  StartUpstream();
+  StartRouter();
+  server::Client client = Connect(router_->port());
+  const QueryRequest query(KSimilarRequest{Probe(3, 2, 8), 3, 8});
+  // Warm-up: dials the upstream link, starts both demux readers, and
+  // lets every thread on the path take its first malloc arena.
+  for (int i = 0; i < 32; ++i) {
+    auto reply =
+        SubmitProgress(client, query, i % 2 == 0 ? "sales-a" : "sales-*");
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(reply.value().ok) << reply.value().message;
+  }
+  const long long threads_before = ProcStatus("Threads:");
+  const long long vm_before_kb = ProcStatus("VmSize:");
+  ASSERT_GT(threads_before, 0);
+  ASSERT_GT(vm_before_kb, 0);
+
+  // Sized so the old code's retained stacks (8 MB each) would stand out
+  // by orders of magnitude, without holding hundreds of threads at once.
+  for (int i = 0; i < 256; ++i) {
+    auto reply =
+        SubmitProgress(client, query, i % 2 == 0 ? "sales-a" : "sales-*");
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(reply.value().ok) << reply.value().message;
+  }
+  EXPECT_LE(ProcStatus("Threads:") - threads_before, 2);
+  EXPECT_LE(ProcStatus("VmSize:") - vm_before_kb, 96 * 1024);
+}
+
+TEST_F(RouterWireTest, ProgressRepliesDoNotWaitOnDelayedAcks) {
+  // A progress reply is PART frames followed by the final block. With
+  // Nagle on, the final waits for the peer's delayed ACK (~40 ms), on
+  // the node's socket and again on the router's. The base is 4 flat
+  // series, so the one length-8 group holds all 68 subsequences: each
+  // q1k streams two snapshots (one per 32 members) in a fraction of a
+  // millisecond, and a 35 ms query is a stall.
+  StartUpstream();
+  Dataset flat("flat");
+  for (int i = 0; i < 4; ++i) {
+    flat.Add(TimeSeries(std::vector<double>(24, 0.5)));
+  }
+  catalog_->Register("flat", BuildEngineFrom(std::move(flat)));
+  StartRouter();
+  const QueryRequest query(
+      KSimilarRequest{std::vector<double>(8, 0.5), 3, 8});
+  for (const uint16_t port : {upstream_->port(), router_->port()}) {
+    server::Client client = Connect(port);
+    int stalled = 0;
+    constexpr int kQueries = 200;
+    for (int i = 0; i < kQueries; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      auto reply = SubmitProgress(client, query, "flat");
+      const auto elapsed = std::chrono::steady_clock::now() - start;
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      ASSERT_TRUE(reply.value().ok) << reply.value().message;
+      if (elapsed > std::chrono::milliseconds(35)) ++stalled;
+    }
+    EXPECT_LE(stalled, kQueries / 20)
+        << (port == router_->port() ? "through the router" : "direct");
+  }
 }
 
 // --------------------------------------- replicated-topology fixture
