@@ -28,12 +28,13 @@ int Run(int argc, char** argv) {
   variants.push_back({"all-on", QueryOptions{}});
   {
     QueryOptions q;
-    q.use_cascade = false;
+    q.cascade.use_kim = false;
+    q.cascade.use_keogh = false;
     variants.push_back({"no-cascade", q});
   }
   {
     QueryOptions q;
-    q.use_early_abandon = false;
+    q.cascade.use_early_abandon = false;
     variants.push_back({"no-early-abandon", q});
   }
   {
@@ -58,8 +59,9 @@ int Run(int argc, char** argv) {
   }
   {
     QueryOptions q;
-    q.use_cascade = false;
-    q.use_early_abandon = false;
+    q.cascade.use_kim = false;
+    q.cascade.use_keogh = false;
+    q.cascade.use_early_abandon = false;
     q.use_median_order = false;
     q.use_value_targeted_scan = false;
     q.stop_within_st_half = false;

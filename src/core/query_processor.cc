@@ -5,9 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "distance/dtw.h"
-#include "distance/lb_keogh.h"
-#include "distance/lb_kim.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -22,7 +19,24 @@ inline double Norm(size_t m, size_t len) {
   return 2.0 * static_cast<double>(std::max(m, len));
 }
 
+// One representative scan's share of the cascade counters: reps a bound
+// ruled out are reps_pruned, reps that reached DTW are reps_compared.
+void CountRepScan(const CascadeStats& before, QueryStats& stats) {
+  const CascadeStats& now = stats.cascade;
+  stats.reps_pruned += (now.pruned_kim - before.pruned_kim) +
+                       (now.pruned_keogh - before.pruned_keogh);
+  stats.reps_compared += (now.dtw_abandoned - before.dtw_abandoned) +
+                         (now.dtw_completed - before.dtw_completed);
+}
+
 }  // namespace
+
+CascadePruner QueryProcessor::PrunerFor(size_t m, size_t length,
+                                        QueryStats& stats) const {
+  return CascadePruner(
+      DtwOptions::FromRatio(base_->options().window_ratio, m, length),
+      options_.cascade, &stats.cascade);
+}
 
 std::string QueryStats::ToString() const {
   std::ostringstream out;
@@ -39,10 +53,9 @@ std::pair<uint32_t, double> QueryProcessor::BestRepresentative(
   ScopedTimer stage(&stats.rep_scan_seconds);
   InflightStageScope live_stage(check, QueryStage::kRepScan);
   const size_t g = entry.NumGroups();
-  const size_t m = query.size();
-  const double norm = Norm(m, entry.length);
-  const DtwOptions dtw_options = DtwOptions::FromRatio(
-      base_->options().window_ratio, m, entry.length);
+  const double norm = Norm(query.size(), entry.length);
+  const CascadePruner pruner = PrunerFor(query.size(), entry.length, stats);
+  const CascadeStats before = stats.cascade;
 
   // Visit order: median-out over the sum-sorted S array (Sec. 5.3) —
   // start at the representative with the median Dc-sum and alternate
@@ -57,34 +70,8 @@ std::pair<uint32_t, double> QueryProcessor::BestRepresentative(
     const std::span<const double> rep(group.representative.data(),
                                       entry.length);
     const double prune_at = std::min(bsf, best_d);
-    ++stats.cascade.candidates;
-    if (options_.use_cascade && prune_at < kInf) {
-      if (LbKim(query, rep) / norm > prune_at) {
-        ++stats.reps_pruned;
-        ++stats.cascade.pruned_kim;
-        return;
-      }
-      if (m == entry.length &&
-          LbKeoghEarlyAbandon(query, group.envelope, prune_at * norm) / norm >
-              prune_at) {
-        ++stats.reps_pruned;
-        ++stats.cascade.pruned_keogh;
-        return;
-      }
-    }
-    ++stats.reps_compared;
-    double d;
-    if (options_.use_early_abandon && prune_at < kInf) {
-      d = DtwEarlyAbandon(query, rep, prune_at * norm, dtw_options) / norm;
-      if (std::isinf(d)) {
-        ++stats.cascade.dtw_abandoned;
-      } else {
-        ++stats.cascade.dtw_completed;
-      }
-    } else {
-      d = DtwDistance(query, rep, dtw_options) / norm;
-      ++stats.cascade.dtw_completed;
-    }
+    const double d =
+        pruner.Distance(query, rep, &group.envelope, prune_at * norm) / norm;
     if (d < best_d) {
       best_d = d;
       best_k = k;
@@ -101,6 +88,7 @@ std::pair<uint32_t, double> QueryProcessor::BestRepresentative(
   } else {
     for (uint32_t k = 0; k < g; ++k) consider(k);
   }
+  CountRepScan(before, stats);
   return {best_k, best_d};
 }
 
@@ -112,10 +100,8 @@ QueryMatch QueryProcessor::SearchGroup(std::span<const double> query,
   ScopedTimer stage(&stats.member_scan_seconds);
   InflightStageScope live_stage(check, QueryStage::kMemberScan);
   const LsiEntry& group = entry.groups[group_id];
-  const size_t m = query.size();
-  const double norm = Norm(m, entry.length);
-  const DtwOptions dtw_options = DtwOptions::FromRatio(
-      base_->options().window_ratio, m, entry.length);
+  const double norm = Norm(query.size(), entry.length);
+  const CascadePruner pruner = PrunerFor(query.size(), entry.length, stats);
 
   QueryMatch best;
   best.distance = kInf;
@@ -124,21 +110,10 @@ QueryMatch QueryProcessor::SearchGroup(std::span<const double> query,
   auto consider = [&](const LsiMember& member) {
     if (check.ShouldStop()) return;
     ++stats.members_compared;
-    ++stats.cascade.candidates;
-    const auto values = member.ref.View(base_->dataset());
     const double prune_at = std::min(bsf, best.distance);
-    double d;
-    if (options_.use_early_abandon && prune_at < kInf) {
-      d = DtwEarlyAbandon(query, values, prune_at * norm, dtw_options) / norm;
-      if (std::isinf(d)) {
-        ++stats.cascade.dtw_abandoned;
-      } else {
-        ++stats.cascade.dtw_completed;
-      }
-    } else {
-      d = DtwDistance(query, values, dtw_options) / norm;
-      ++stats.cascade.dtw_completed;
-    }
+    const double d = pruner.Distance(query, member.ref.View(base_->dataset()),
+                                     nullptr, prune_at * norm) /
+                     norm;
     if (d < best.distance) {
       best.distance = d;
       best.ref = member.ref;
@@ -169,21 +144,20 @@ std::vector<std::pair<uint32_t, double>> QueryProcessor::TopRepresentatives(
     QueryStats& stats, ExecChecker& check) const {
   ScopedTimer stage(&stats.rep_scan_seconds);
   InflightStageScope live_stage(check, QueryStage::kRepScan);
-  const size_t m = query.size();
-  const double norm = Norm(m, entry.length);
-  const DtwOptions dtw_options = DtwOptions::FromRatio(
-      base_->options().window_ratio, m, entry.length);
+  const double norm = Norm(query.size(), entry.length);
+  const CascadePruner pruner = PrunerFor(query.size(), entry.length, stats);
+  const CascadeStats before = stats.cascade;
   std::vector<std::pair<uint32_t, double>> reps;
   reps.reserve(entry.NumGroups());
   for (uint32_t k = 0; k < entry.NumGroups(); ++k) {
     if (check.ShouldStop()) break;
-    ++stats.reps_compared;
-    ++stats.cascade.candidates;
-    ++stats.cascade.dtw_completed;
-    const std::span<const double> rep(
-        entry.groups[k].representative.data(), entry.length);
-    reps.push_back({k, DtwDistance(query, rep, dtw_options) / norm});
+    const LsiEntry& group = entry.groups[k];
+    const std::span<const double> rep(group.representative.data(),
+                                      entry.length);
+    reps.push_back(
+        {k, pruner.Distance(query, rep, &group.envelope, kInf) / norm});
   }
+  CountRepScan(before, stats);
   const size_t top =
       std::min(options_.groups_to_search, reps.size());
   std::partial_sort(reps.begin(), reps.begin() + static_cast<ptrdiff_t>(top),
@@ -378,8 +352,7 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindKSimilar(
   // exact distances for the top-k ordering).
   const LsiEntry& group = entry->groups[group_id];
   const double norm = Norm(query.size(), entry->length);
-  const DtwOptions dtw_options = DtwOptions::FromRatio(
-      base_->options().window_ratio, query.size(), entry->length);
+  const CascadePruner pruner = PrunerFor(query.size(), entry->length, call);
   std::vector<QueryMatch> matches;
   matches.reserve(group.members.size());
   // Running top-k for LIVE progress snapshots, maintained incrementally
@@ -403,14 +376,12 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindKSimilar(
       if (check.ShouldStop()) break;
       const LsiMember& member = group.members[i];
       ++call.members_compared;
-      ++call.cascade.candidates;
-      ++call.cascade.dtw_completed;
       QueryMatch match;
       match.ref = member.ref;
       match.group_id = group_id;
-      match.distance =
-          DtwDistance(query, member.ref.View(base_->dataset()), dtw_options) /
-          norm;
+      match.distance = pruner.Distance(query, member.ref.View(base_->dataset()),
+                                       nullptr, kInf) /
+                       norm;
       matches.push_back(match);
       if (track_topk &&
           (topk.size() < k || MatchDistanceLess(match, topk.back()))) {
@@ -473,6 +444,11 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
   check.ObserveCascade(&call.cascade);
   std::vector<QueryMatch> matches;
   const size_t m = query.size();
+  // Range semantics follow Def. 3's unconstrained DTW: Lemma 2 is proven
+  // for it, and a Sakoe-Chiba band could push a guaranteed member's
+  // reported distance past st. The stored envelopes are banded, so no
+  // site here passes one.
+  const CascadePruner pruner(DtwOptions{-1}, options_.cascade, &call.cascade);
 
   // Work-fraction denominator for progress: total groups to visit.
   size_t total_groups = 0;
@@ -506,10 +482,6 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
     if (check.ShouldStop()) break;
     ++call.lengths_scanned;
     const double norm = Norm(m, len);
-    // Range semantics follow Def. 3's unconstrained DTW: Lemma 2 is
-    // proven for it, and a Sakoe-Chiba band could push a guaranteed
-    // member's reported distance past st.
-    const DtwOptions dtw_options{-1};
     for (uint32_t k = 0; k < entry->NumGroups(); ++k) {
       if (check.ShouldStop()) break;
       const LsiEntry& group = entry->groups[k];
@@ -517,14 +489,13 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
       // DTW has no reverse triangle inequality, so no group can be
       // skipped outright; the representative's DTW only chooses between
       // wholesale admission (Lemma 2) and a per-member scan.
-      ++call.reps_compared;
-      ++call.cascade.candidates;
-      ++call.cascade.dtw_completed;
       double rep_d;
       {
         ScopedTimer stage(&call.rep_scan_seconds);
         InflightStageScope live_stage(check, QueryStage::kRepScan);
-        rep_d = DtwDistance(query, rep, dtw_options) / norm;
+        const CascadeStats before = call.cascade;
+        rep_d = pruner.Distance(query, rep, nullptr, kInf) / norm;
+        CountRepScan(before, call);
       }
       // Lemma 2 premises, checked against the *stored* member EDs (the
       // members array is sorted, so back() is the group's ED radius):
@@ -543,11 +514,9 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
           if (exact_distances) {
             if (check.ShouldStop()) break;
             // Exact recompute enters the cascade as a straight DTW.
-            ++call.cascade.candidates;
-            ++call.cascade.dtw_completed;
             match.distance =
-                DtwDistance(query, member.ref.View(base_->dataset()),
-                            dtw_options) /
+                pruner.Distance(query, member.ref.View(base_->dataset()),
+                                nullptr, kInf) /
                 norm;
           } else {
             match.distance = st;
@@ -556,22 +525,16 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
           matches.push_back(match);
         }
       } else {
-        // Individual scan with early abandoning at the range threshold.
+        // Individual scan, bounded and abandoned at the range threshold.
         ScopedTimer stage(&call.member_scan_seconds);
         InflightStageScope live_stage(check, QueryStage::kMemberScan);
         for (const LsiMember& member : group.members) {
           if (check.ShouldStop()) break;
           ++call.members_compared;
-          ++call.cascade.candidates;
           const double d =
-              DtwEarlyAbandon(query, member.ref.View(base_->dataset()),
-                              st * norm, dtw_options) /
+              pruner.Distance(query, member.ref.View(base_->dataset()),
+                              nullptr, st * norm) /
               norm;
-          if (std::isinf(d)) {
-            ++call.cascade.dtw_abandoned;
-          } else {
-            ++call.cascade.dtw_completed;
-          }
           if (d <= st) {
             QueryMatch match;
             match.ref = member.ref;

@@ -26,15 +26,14 @@ namespace onex {
 
 /// Optimization toggles (paper Sec. 5.3); the ablation bench flips them.
 struct QueryOptions {
-  /// LB_Kim / LB_Keogh pruning before DTW on representatives.
-  bool use_cascade = true;
+  /// Pruning-cascade stages (LB_Kim_FL, LB_Keogh, early-abandoning DTW)
+  /// at every DTW decision point.
+  CascadeOptions cascade;
   /// Median-out traversal of the sum-sorted representative array.
   bool use_median_order = true;
   /// In-group outward scan from the member whose ED-to-rep is closest
   /// to DTW(query, rep); otherwise members are scanned in stored order.
   bool use_value_targeted_scan = true;
-  /// Early-abandoning DTW everywhere.
-  bool use_early_abandon = true;
   /// Any-length search: stop scanning further lengths once a
   /// representative with normalized DTW <= ST/2 is found (Lemma 2
   /// guarantees its members are all within ST).
@@ -205,6 +204,10 @@ class QueryProcessor {
   QueryMatch SearchGroup(std::span<const double> query, const GtiEntry& entry,
                          uint32_t group_id, double rep_distance, double bsf,
                          QueryStats& stats, ExecChecker& check) const;
+
+  /// The cascade for a query of length m against candidates of `length`
+  /// under the base's DTW band, counting into `stats.cascade`.
+  CascadePruner PrunerFor(size_t m, size_t length, QueryStats& stats) const;
 
   /// Lengths in the optimized search order for a query of length m.
   std::vector<size_t> OrderedLengths(size_t m) const;

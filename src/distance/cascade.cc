@@ -23,39 +23,42 @@ std::string CascadeStats::ToString() const {
 
 double CascadePruner::Distance(std::span<const double> query,
                                std::span<const double> candidate,
-                               const Envelope* envelope, double best_so_far) {
-  // Every increment mirrors into the optional external sink so callers
-  // can accumulate per-query counters without polling stats() deltas.
-  auto bump = [this](uint64_t CascadeStats::* field) {
-    ++(stats_.*field);
-    if (sink_ != nullptr) ++(sink_->*field);
-  };
-  bump(&CascadeStats::candidates);
-  if (options_.use_kim) {
-    if (LbKim(query, candidate) > best_so_far) {
-      bump(&CascadeStats::pruned_kim);
-      return kInf;
-    }
+                               const Envelope* envelope,
+                               double threshold) const {
+  ++stats_->candidates;
+  if (!std::isfinite(threshold)) {
+    // Nothing can be pruned or abandoned against an infinite threshold.
+    ++stats_->dtw_completed;
+    return DtwDistance(query, candidate, dtw_options_);
+  }
+  // LB_Kim_FL reads the first and last two points of each series.
+  if (options_.use_kim && query.size() >= 3 && candidate.size() >= 3 &&
+      LbKimFl(query, candidate) > threshold) {
+    ++stats_->pruned_kim;
+    return kInf;
   }
   if (options_.use_keogh && envelope != nullptr &&
-      envelope->size() == query.size()) {
-    if (LbKeoghEarlyAbandon(query, *envelope, best_so_far) > best_so_far) {
-      bump(&CascadeStats::pruned_keogh);
-      return kInf;
-    }
+      envelope->size() == query.size() &&
+      LbKeoghEarlyAbandon(query, *envelope, threshold) > threshold) {
+    ++stats_->pruned_keogh;
+    return kInf;
   }
-  double d;
   if (options_.use_early_abandon) {
-    d = DtwEarlyAbandon(query, candidate, best_so_far, dtw_options_);
+    const double d =
+        DtwEarlyAbandon(query, candidate, threshold, dtw_options_);
     if (std::isinf(d)) {
-      bump(&CascadeStats::dtw_abandoned);
+      ++stats_->dtw_abandoned;
       return kInf;
     }
-  } else {
-    d = DtwDistance(query, candidate, dtw_options_);
+    ++stats_->dtw_completed;
+    // Abandoning tests whole DP rows, so a DTW can still finish above
+    // the threshold; rejecting it here keeps the stage toggles from
+    // changing which candidates pass.
+    return d <= threshold ? d : kInf;
   }
-  bump(&CascadeStats::dtw_completed);
-  return d;
+  ++stats_->dtw_completed;
+  const double d = DtwDistance(query, candidate, dtw_options_);
+  return d <= threshold ? d : kInf;
 }
 
 }  // namespace onex

@@ -1,8 +1,9 @@
 // Copyright 2026 The ONEX Reproduction Authors.
 // Cascading lower-bound pruner (paper Sec. 5.3, adopted from [11], [22]):
-// candidates pass through LB_Kim (O(1)-ish) then LB_Keogh (O(n)) before
-// the O(n^2) early-abandoning DTW is paid. Keeps counters so the
-// ablation bench can report per-stage pruning rates.
+// candidates pass through LB_Kim_FL (O(1)) then LB_Keogh (O(n)) before
+// the O(n^2) early-abandoning DTW is paid. Every DTW decision of the
+// query processor goes through CascadePruner::Distance, so the per-stage
+// counters it writes are the live pruning breakdown each query reports.
 
 #ifndef ONEX_DISTANCE_CASCADE_H_
 #define ONEX_DISTANCE_CASCADE_H_
@@ -46,41 +47,37 @@ struct CascadeStats {
   std::string ToString() const;
 };
 
-/// Stage toggles (all on by default); the ablation bench switches these.
+/// Stage toggles (all on by default); the ablation benches switch these.
 struct CascadeOptions {
   bool use_kim = true;
   bool use_keogh = true;
   bool use_early_abandon = true;
 };
 
-/// Evaluates DTW(query, candidate) only when no lower bound exceeds
-/// `best_so_far`. Returns +infinity when pruned or abandoned, else the
-/// exact DTW under `dtw_options`.
+/// Evaluates DTW(query, candidate) only when no lower bound exceeds the
+/// threshold. Counts each call once, into the caller's CascadeStats.
 class CascadePruner {
  public:
-  /// `sink`, when set, receives every increment the internal stats()
-  /// accumulator does — callers tee the per-stage counters into a
-  /// per-query QueryStats without polling between calls.
-  explicit CascadePruner(DtwOptions dtw_options,
-                         CascadeOptions cascade_options = {},
-                         CascadeStats* sink = nullptr)
-      : dtw_options_(dtw_options), options_(cascade_options), sink_(sink) {}
+  /// `stats` must be non-null and outlive the pruner.
+  CascadePruner(DtwOptions dtw_options, CascadeOptions cascade_options,
+                CascadeStats* stats)
+      : dtw_options_(dtw_options), options_(cascade_options), stats_(stats) {}
 
+  /// Returns the exact DTW under `dtw_options` when it is <= `threshold`
+  /// (raw, unnormalized DTW units), else +infinity — whichever stages are
+  /// on, so the toggles change the work done, never the answer. A
+  /// non-finite threshold tries no bound and returns the exact DTW.
   /// `envelope` is the candidate-side envelope matching query length;
-  /// pass nullptr when unavailable (e.g. cross-length comparisons), which
-  /// skips the LB_Keogh stage.
+  /// pass nullptr when unavailable (e.g. cross-length comparisons or
+  /// members, which store none), which skips the LB_Keogh stage.
   double Distance(std::span<const double> query,
                   std::span<const double> candidate,
-                  const Envelope* envelope, double best_so_far);
-
-  const CascadeStats& stats() const { return stats_; }
-  void ResetStats() { stats_.Reset(); }
+                  const Envelope* envelope, double threshold) const;
 
  private:
   DtwOptions dtw_options_;
   CascadeOptions options_;
-  CascadeStats stats_;
-  CascadeStats* sink_ = nullptr;
+  CascadeStats* stats_;
 };
 
 }  // namespace onex
