@@ -2,7 +2,10 @@
 // A similarity group under construction (paper Defs. 7-8): subsequences
 // of one length whose normalized ED to the group's representative is at
 // most ST/2, with the representative maintained as the running
-// point-wise average of the members (Def. 7).
+// point-wise average of the members (Def. 7). The representative and
+// the member count are a group's whole running state: FoldIntoAverage
+// advances it, for groups under construction here and for frozen
+// groups during base maintenance alike.
 
 #ifndef ONEX_CORE_GROUP_H_
 #define ONEX_CORE_GROUP_H_
@@ -13,6 +16,12 @@
 #include "dataset/subsequence.h"
 
 namespace onex {
+
+/// Folds the values of a new member into the running point-wise average
+/// `rep`, which then covers `count` members (count >= 1):
+/// rep += (values - rep) * (1 / count).
+void FoldIntoAverage(std::span<double> rep, std::span<const double> values,
+                     size_t count);
 
 /// Mutable group used by GroupBuilder (Algorithm 1). Frozen into an
 /// LsiEntry once construction finishes.
@@ -36,8 +45,7 @@ class SimilarityGroup {
  private:
   size_t length_;
   std::vector<SubsequenceRef> members_;
-  std::vector<double> sum_;  ///< Point-wise sums over members.
-  std::vector<double> rep_;  ///< sum_ / member count, kept fresh.
+  std::vector<double> rep_;  ///< Running average over members_.
 };
 
 }  // namespace onex

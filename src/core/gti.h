@@ -51,11 +51,33 @@ struct GtiEntry {
   }
 };
 
-/// Builds the frozen GtiEntry for one length from construction-time
-/// groups: freezes representatives, sorts members by normalized ED to
-/// the final representative, computes envelopes (band = window_ratio *
-/// length), the Dc matrix, the sum-sorted array and, when requested, the
-/// merge thresholds. `st` is the base similarity threshold.
+/// Envelope band of one length: ceil(window_ratio * length), or the
+/// whole length when window_ratio < 0 (unconstrained DTW). A ratio
+/// above 1 is capped at 1 and NaN reads as the whole length.
+size_t EnvelopeWindow(size_t length, double window_ratio);
+
+/// Freezes one group's own derived state from its representative and
+/// member list: each member's normalized ED to the representative, the
+/// member order, and the envelope (band `window`). Members are ordered
+/// by (ed_to_rep, series, start) — a total order, so the result does
+/// not depend on the order they arrived in. Members [0, sorted_prefix)
+/// must still be in the order an earlier freeze left them; after the
+/// small representative shift an append causes they are nearly sorted,
+/// and an adaptive insertion sort restores the order in about linear
+/// time (a full sort takes over past a shift budget). A fresh group
+/// passes 0.
+void FreezeGroup(const Dataset& dataset, size_t window, size_t sorted_prefix,
+                 LsiEntry* group);
+
+/// Derives the per-length state from frozen groups: the Dc matrix, the
+/// sum-sorted array and (when requested) the merge thresholds; `st` is
+/// the base similarity threshold.
+void IndexLength(GtiEntry* entry, double st, bool compute_sp_space);
+
+/// Builds the GtiEntry for one length from construction-time groups:
+/// FreezeGroup for every group, then IndexLength. Takes the groups by
+/// value so a caller that moves them in releases each length's
+/// construction-time groups as soon as that length is frozen.
 GtiEntry BuildGtiEntry(const Dataset& dataset,
                        std::vector<SimilarityGroup> groups, double st,
                        double window_ratio, bool compute_sp_space);

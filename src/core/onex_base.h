@@ -50,20 +50,22 @@ class OnexBase {
 
   /// Appends one new time series to the base, maintaining every
   /// invariant of Algorithm 1: each new subsequence joins its nearest
-  /// in-radius representative or founds a new group, and the affected
-  /// lengths' Dc matrices, sum orders, envelopes, and SP-Space markers
-  /// are refreshed. This is the "ONEX base maintenance" the paper
-  /// defers to its tech report. InvalidArgument for an empty series.
+  /// in-radius representative (folding into its running average) or
+  /// founds a new group, and the touched groups and the affected
+  /// lengths' Dc matrices, sum orders and SP-Space markers are
+  /// refreshed. This is the "ONEX base maintenance" the paper defers to
+  /// its tech report. InvalidArgument for an empty series.
   Status AppendSeries(TimeSeries series);
 
   /// Appends a whole batch with ONE maintenance pass: per affected
-  /// length the groups are reconstituted once, every new subsequence is
-  /// assigned in batch order (the same nearest-in-radius rule the
-  /// sequential path applies), and the derived structures (member sort,
-  /// envelopes, Dc, sum order, markers) are rebuilt once — instead of
-  /// once per series. WAL replay batches recovery through this, turning
-  /// N derived-state rebuilds into 1 per length. All-or-nothing
-  /// validation: an empty series anywhere rejects the batch unapplied.
+  /// length every new subsequence is assigned in batch order (the same
+  /// nearest-in-radius rule the sequential path applies), then the
+  /// touched groups are re-frozen and the length re-indexed once —
+  /// instead of once per series. WAL replay batches recovery through
+  /// this. The result does not depend on the batching: N series
+  /// appended one at a time or in any split into batches give a base
+  /// that serializes byte-identically. All-or-nothing validation: an
+  /// empty series anywhere rejects the batch unapplied.
   Status AppendBatch(std::vector<TimeSeries> batch);
 
   const Dataset& dataset() const { return dataset_; }

@@ -219,16 +219,9 @@ Result<OnexBase> LoadBaseFromStream(std::istream& in,
       return Status::Corruption("truncated GTI entry header");
     }
     entry.length = static_cast<size_t>(length);
-    // Clamp the ratio before the size_t cast: a corrupt value (huge,
-    // NaN) must not become undefined behaviour. ComputeEnvelope clamps
-    // the window to the series length anyway, so capping at 1.0 (and
-    // treating NaN like "full window") preserves semantics.
-    const double ratio = options.window_ratio;
-    const size_t window =
-        !(ratio >= 0.0)
-            ? entry.length
-            : static_cast<size_t>(std::ceil(std::min(ratio, 1.0) *
-                                            static_cast<double>(length)));
+    // EnvelopeWindow caps the ratio, so a corrupt value (huge, NaN)
+    // cannot reach the size_t cast.
+    const size_t window = EnvelopeWindow(entry.length, options.window_ratio);
     entry.groups.reserve(num_groups);
     for (uint64_t g = 0; g < num_groups; ++g) {
       LsiEntry group;

@@ -12,8 +12,7 @@ namespace onex {
 namespace {
 
 // Rebuilds a SimilarityGroup from a fixed member list (the point-wise
-// average is order-independent, so Add-ing in any order reproduces
-// Def. 7 exactly).
+// average of Def. 7, up to rounding in the order members are folded).
 SimilarityGroup GroupFromMembers(const Dataset& dataset, size_t length,
                                  const std::vector<SubsequenceRef>& refs) {
   SimilarityGroup group(length, refs.front(), refs.front().View(dataset));

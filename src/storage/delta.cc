@@ -245,8 +245,8 @@ Status ParseDelta(std::string_view delta, DeltaInfo* info,
 
 }  // namespace
 
-std::string EncodeDelta(std::string_view old_bytes,
-                        std::string_view new_bytes) {
+std::string EncodeDelta(std::string_view old_bytes, uint32_t old_crc,
+                        std::string_view new_bytes, uint32_t* new_crc) {
   std::string commands;
   uint64_t copy_bytes = 0, add_bytes = 0;
 
@@ -295,6 +295,7 @@ std::string EncodeDelta(std::string_view old_bytes,
       if (t + kBlock <= n) h = HashBlock(new_bytes.data() + t);
       continue;
     }
+    if (t + kBlock == n) break;  // Last window: nothing to roll into.
     h = Roll(h, static_cast<uint8_t>(new_bytes[t]),
              static_cast<uint8_t>(new_bytes[t + kBlock]), out_weight);
     ++t;
@@ -307,8 +308,9 @@ std::string EncodeDelta(std::string_view old_bytes,
   PutU32(&delta, kDeltaFormatVersion);
   PutU64(&delta, old_bytes.size());
   PutU64(&delta, new_bytes.size());
-  PutU32(&delta, Crc32(old_bytes.data(), old_bytes.size()));
-  PutU32(&delta, Crc32(new_bytes.data(), new_bytes.size()));
+  *new_crc = Crc32(new_bytes.data(), new_bytes.size());
+  PutU32(&delta, old_crc);
+  PutU32(&delta, *new_crc);
   PutU64(&delta, commands.size());
   PutU32(&delta, Crc32(commands.data(), commands.size()));
   delta.append(commands);
@@ -322,7 +324,8 @@ Result<DeltaInfo> InspectDelta(std::string_view delta) {
   return info;
 }
 
-Status ApplyDeltaInPlace(std::string* buffer, std::string_view delta) {
+Status ApplyDeltaInPlace(std::string* buffer, uint32_t buffer_crc,
+                         std::string_view delta) {
   DeltaInfo info;
   std::vector<Command> commands;
   Status parsed = ParseDelta(delta, &info, &commands);
@@ -332,7 +335,7 @@ Status ApplyDeltaInPlace(std::string* buffer, std::string_view delta) {
                               std::to_string(buffer->size()) + ", delta wants " +
                               std::to_string(info.old_size));
   }
-  if (Crc32(buffer->data(), buffer->size()) != info.old_crc) {
+  if (buffer_crc != info.old_crc) {
     return Status::Corruption("delta base CRC mismatch (wrong base snapshot)");
   }
 

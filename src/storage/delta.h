@@ -30,7 +30,9 @@
 // The three header CRCs make torn or bit-flipped artifacts detectable
 // before any byte is trusted: crc32(old) gates apply (wrong base
 // snapshot), crc32(commands) validates the delta body itself, and
-// crc32(new) confirms the reconstruction.
+// crc32(new) confirms the reconstruction. Each snapshot state is
+// CRC'd once: the CRC that confirmed one state is the old CRC the next
+// link is checked against, on both the encode and the apply side.
 
 #ifndef ONEX_STORAGE_DELTA_H_
 #define ONEX_STORAGE_DELTA_H_
@@ -58,24 +60,32 @@ struct DeltaInfo {
   uint64_t add_bytes = 0;   ///< target bytes carried literally (ADDs).
 };
 
-/// Encodes `new_bytes` as a delta against `old_bytes`. Always
-/// succeeds (worst case: one ADD carrying new_bytes verbatim, header
-/// overhead only); the result applies in place by construction.
-std::string EncodeDelta(std::string_view old_bytes,
-                        std::string_view new_bytes);
+/// Encodes `new_bytes` as a delta against `old_bytes`, whose CRC the
+/// caller already holds (`old_crc` == Crc32(old_bytes); the leader
+/// keeps it from the previous checkpoint). Stores Crc32(new_bytes) in
+/// `*new_crc` — the one pass over the new bytes the header needs.
+/// Always succeeds (worst case: one ADD carrying new_bytes verbatim,
+/// header overhead only); the result applies in place by construction.
+std::string EncodeDelta(std::string_view old_bytes, uint32_t old_crc,
+                        std::string_view new_bytes, uint32_t* new_crc);
 
 /// Validates the header + command-region CRC of `delta` without
 /// applying it. Corruption on bad magic/version/CRC/truncation.
 Result<DeltaInfo> InspectDelta(std::string_view delta);
 
 /// Applies `delta` to `*buffer` IN PLACE: on entry `*buffer` holds the
-/// old version (size + crc32 are verified against the header), on
-/// success it holds the new version (crc32 verified). The buffer is
-/// grown to max(old, new) during application and trimmed to new_size
-/// after — peak memory is max(old, new) + |delta|, never old + new.
-/// On any error `*buffer` is left unspecified (a failed apply means
-/// the caller's chain is corrupt; re-fetch or fall back).
-Status ApplyDeltaInPlace(std::string* buffer, std::string_view delta);
+/// old version, whose CRC the caller has already verified or computed
+/// (`buffer_crc`; a chain passes the base file's CRC, then each link's
+/// verified new_crc). Its size and `buffer_crc` are checked against the
+/// header's old_size / old_crc, so a wrong base is still Corruption;
+/// the buffer itself is CRC'd once, after reconstruction, against
+/// new_crc. The buffer is grown to max(old, new) during application and
+/// trimmed to new_size after — peak memory is max(old, new) + |delta|,
+/// never old + new. On any error `*buffer` is left unspecified (a
+/// failed apply means the caller's chain is corrupt; re-fetch or fall
+/// back).
+Status ApplyDeltaInPlace(std::string* buffer, uint32_t buffer_crc,
+                         std::string_view delta);
 
 }  // namespace storage
 }  // namespace onex

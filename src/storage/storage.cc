@@ -95,6 +95,9 @@ Result<RecoveredChain> LoadSnapshotChain(const std::string& dir,
   out.bytes = std::move(base).value();
   out.base_bytes = out.bytes.size();
   out.base_crc = Crc32(out.bytes.data(), out.bytes.size());
+  // CRC of the state in out.bytes: the base's, then each applied link's
+  // verified new_crc — so every state is CRC'd exactly once.
+  uint32_t state_crc = out.base_crc;
   for (uint64_t k = 1; k <= max_deltas; ++k) {
     const std::string path = DeltaPathFor(dir, name, k);
     auto delta = ReadFileBytes(path);
@@ -123,7 +126,8 @@ Result<RecoveredChain> LoadSnapshotChain(const std::string& dir,
                     << "' (base snapshot is newer — compaction crash)";
       break;
     }
-    const Status applied = ApplyDeltaInPlace(&out.bytes, delta.value());
+    const Status applied =
+        ApplyDeltaInPlace(&out.bytes, state_crc, delta.value());
     if (!applied.ok()) {
       ONEX_LOG_WARN << "delta chain cut at '" << path
                     << "': " << applied.ToString()
@@ -134,8 +138,8 @@ Result<RecoveredChain> LoadSnapshotChain(const std::string& dir,
       if (retry.ok()) retry.value().degraded = true;
       return retry;
     }
-    out.chain.push_back(
-        {path, delta.value().size(), info.value().new_crc});
+    state_crc = info.value().new_crc;
+    out.chain.push_back({path, delta.value().size(), state_crc});
   }
   return out;
 }
@@ -631,14 +635,15 @@ Status DurableEngine::CheckpointIncremental() {
     return Status::OK();
   }
 
-  // Out-of-lock: delta against the previous snapshot shadow. The
-  // shadow is re-seeded from disk if absent (delta_checkpoints turned
-  // on over an existing full snapshot).
-  if (prev_snapshot_.empty() && chain_.empty()) {
-    auto prev = ReadFileBytes(base_path_);
-    if (prev.ok()) prev_snapshot_ = std::move(prev).value();
-  }
-  const std::string delta = EncodeDelta(prev_snapshot_, shadow);
+  // Out-of-lock: delta against the previous snapshot shadow (seeded by
+  // Create and Open whenever delta_checkpoints is on). Its CRC is
+  // already known — the chain's last link names it, or the base does —
+  // and the encoder returns the shadow's, so neither is CRC'd again.
+  const uint32_t prev_crc =
+      chain_.empty() ? base_crc_ : chain_.back().new_crc;
+  uint32_t shadow_crc = 0;
+  const std::string delta =
+      EncodeDelta(prev_snapshot_, prev_crc, shadow, &shadow_crc);
 
   const bool over_length =
       options_.max_delta_chain_length > 0 &&
@@ -658,7 +663,7 @@ Status DurableEngine::CheckpointIncremental() {
     RetireChainLocked();
     chain_.clear();
     base_bytes_ = shadow.size();
-    base_crc_ = Crc32(shadow.data(), shadow.size());
+    base_crc_ = shadow_crc;
     chain_compactions_.fetch_add(1);
     chain_length_.store(0);
     chain_bytes_.store(0);
@@ -676,8 +681,7 @@ Status DurableEngine::CheckpointIncremental() {
                                   }),
                    retired_.end());
     gc_pending_artifacts_.store(retired_.size());
-    chain_.push_back(
-        {path, delta.size(), Crc32(shadow.data(), shadow.size())});
+    chain_.push_back({path, delta.size(), shadow_crc});
     delta_checkpoints_.fetch_add(1);
     chain_length_.store(chain_.size());
     chain_bytes_.fetch_add(delta.size());

@@ -1,8 +1,8 @@
 // Copyright 2026 The ONEX Reproduction Authors.
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the checksum
-// guarding every write-ahead-log record (src/storage/wal.h). Table-driven,
-// one byte per step; fast enough for WAL payloads (appends are rare next
-// to queries) without pulling in hardware intrinsics.
+// guarding WAL records, snapshots, delta artifacts and replica fetches.
+// Slicing-by-8: eight table lookups fold eight bytes per step, portable
+// C++ with no hardware intrinsics; any alignment, any length.
 
 #ifndef ONEX_UTIL_CRC32_H_
 #define ONEX_UTIL_CRC32_H_

@@ -13,6 +13,7 @@
 #include <string_view>
 
 #include "storage/delta.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace onex {
@@ -29,13 +30,33 @@ std::string RandomBytes(size_t n, uint64_t seed) {
   return out;
 }
 
+uint32_t CrcOf(std::string_view bytes) {
+  return Crc32(bytes.data(), bytes.size());
+}
+
+/// EncodeDelta with the old CRC computed here (a checkpointing leader
+/// already holds it); checks the new CRC the encoder reports.
+std::string Encode(const std::string& old_bytes,
+                   const std::string& new_bytes) {
+  uint32_t new_crc = 0;
+  std::string delta =
+      EncodeDelta(old_bytes, CrcOf(old_bytes), new_bytes, &new_crc);
+  EXPECT_EQ(new_crc, CrcOf(new_bytes));
+  return delta;
+}
+
+/// ApplyDeltaInPlace with the buffer's true CRC as the caller's.
+Status Apply(std::string* buffer, std::string_view delta) {
+  return ApplyDeltaInPlace(buffer, CrcOf(*buffer), delta);
+}
+
 /// Encode, apply in place, and require byte-identity with `new_bytes`.
 /// Returns the delta for further inspection.
 std::string RoundTrip(const std::string& old_bytes,
                       const std::string& new_bytes) {
-  const std::string delta = EncodeDelta(old_bytes, new_bytes);
+  const std::string delta = Encode(old_bytes, new_bytes);
   std::string buffer = old_bytes;
-  const Status applied = ApplyDeltaInPlace(&buffer, delta);
+  const Status applied = Apply(&buffer, delta);
   EXPECT_TRUE(applied.ok()) << applied.ToString();
   EXPECT_EQ(buffer, new_bytes);
   return delta;
@@ -118,7 +139,7 @@ TEST(DeltaTest, SmallBuffersBelowBlockSize) {
 TEST(DeltaTest, InspectReportsSizes) {
   const std::string old_bytes = RandomBytes(10 * 1024, 12);
   const std::string new_bytes = old_bytes + RandomBytes(100, 13);
-  auto info = InspectDelta(EncodeDelta(old_bytes, new_bytes));
+  auto info = InspectDelta(Encode(old_bytes, new_bytes));
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info.value().old_size, old_bytes.size());
   EXPECT_EQ(info.value().new_size, new_bytes.size());
@@ -128,16 +149,39 @@ TEST(DeltaTest, InspectReportsSizes) {
 TEST(DeltaTest, ApplyRejectsWrongBase) {
   const std::string old_bytes = RandomBytes(8 * 1024, 14);
   const std::string new_bytes = old_bytes + "tail";
-  const std::string delta = EncodeDelta(old_bytes, new_bytes);
+  const std::string delta = Encode(old_bytes, new_bytes);
 
   std::string wrong_size = old_bytes.substr(1);
-  EXPECT_FALSE(ApplyDeltaInPlace(&wrong_size, delta).ok());
+  EXPECT_FALSE(Apply(&wrong_size, delta).ok());
 
   std::string wrong_bytes = old_bytes;
   wrong_bytes[100] = static_cast<char>(wrong_bytes[100] ^ 1);
-  const Status applied = ApplyDeltaInPlace(&wrong_bytes, delta);
+  const Status applied = Apply(&wrong_bytes, delta);
   EXPECT_FALSE(applied.ok());
   EXPECT_EQ(applied.code(), Status::Code::kCorruption);
+}
+
+TEST(DeltaTest, ApplyChecksTheCallersCrcAgainstTheHeader) {
+  // The buffer is not re-CRC'd before apply: the CRC the caller passes
+  // stands for it, so a claimed CRC that is not the delta's base is
+  // refused even when the bytes themselves are right.
+  const std::string old_bytes = RandomBytes(8 * 1024, 22);
+  const std::string new_bytes = old_bytes + "tail";
+  const std::string delta = Encode(old_bytes, new_bytes);
+  std::string buffer = old_bytes;
+  const Status applied =
+      ApplyDeltaInPlace(&buffer, CrcOf(old_bytes) ^ 1u, delta);
+  EXPECT_EQ(applied.code(), Status::Code::kCorruption);
+
+  // A chain passes each link's verified new_crc as the next old CRC.
+  const std::string newer = new_bytes + "more";
+  const std::string second = Encode(new_bytes, newer);
+  buffer = old_bytes;
+  ASSERT_TRUE(ApplyDeltaInPlace(&buffer, CrcOf(old_bytes), delta).ok());
+  auto info = InspectDelta(delta);
+  ASSERT_TRUE(info.ok());
+  ASSERT_TRUE(ApplyDeltaInPlace(&buffer, info.value().new_crc, second).ok());
+  EXPECT_EQ(buffer, newer);
 }
 
 TEST(DeltaTest, GarbageIsRejected) {
@@ -145,7 +189,7 @@ TEST(DeltaTest, GarbageIsRejected) {
   EXPECT_FALSE(InspectDelta("ODLT").ok());
   EXPECT_FALSE(InspectDelta(RandomBytes(200, 15)).ok());
   std::string buffer = "anything";
-  EXPECT_FALSE(ApplyDeltaInPlace(&buffer, RandomBytes(200, 16)).ok());
+  EXPECT_FALSE(Apply(&buffer, RandomBytes(200, 16)).ok());
 }
 
 // ------------------------------------------------------------- fuzzing.
@@ -159,13 +203,13 @@ TEST(DeltaTest, FuzzTruncationAtEveryBoundary) {
   const std::string old_bytes = RandomBytes(4 * 1024, 17);
   std::string new_bytes = old_bytes + RandomBytes(256, 18);
   new_bytes[512] = static_cast<char>(new_bytes[512] ^ 0xff);
-  const std::string delta = EncodeDelta(old_bytes, new_bytes);
+  const std::string delta = Encode(old_bytes, new_bytes);
 
   for (size_t cut = 0; cut < delta.size(); ++cut) {
     const std::string_view truncated(delta.data(), cut);
     EXPECT_FALSE(InspectDelta(truncated).ok()) << "cut=" << cut;
     std::string buffer = old_bytes;
-    const Status applied = ApplyDeltaInPlace(&buffer, truncated);
+    const Status applied = Apply(&buffer, truncated);
     ASSERT_FALSE(applied.ok()) << "cut=" << cut;
     EXPECT_EQ(applied.code(), Status::Code::kCorruption) << "cut=" << cut;
   }
@@ -175,7 +219,7 @@ TEST(DeltaTest, FuzzSingleBitFlips) {
   const std::string old_bytes = RandomBytes(2 * 1024, 19);
   const std::string new_bytes =
       old_bytes.substr(0, 1024) + RandomBytes(64, 20) + old_bytes.substr(1024);
-  const std::string delta = EncodeDelta(old_bytes, new_bytes);
+  const std::string delta = Encode(old_bytes, new_bytes);
 
   Rng rng(21);
   for (int trial = 0; trial < 400; ++trial) {
@@ -185,7 +229,7 @@ TEST(DeltaTest, FuzzSingleBitFlips) {
     mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
 
     std::string buffer = old_bytes;
-    const Status applied = ApplyDeltaInPlace(&buffer, mutated);
+    const Status applied = Apply(&buffer, mutated);
     if (applied.ok()) {
       // A flip that still applies cleanly must have reconstructed the
       // exact new bytes (e.g. a flip inside ignored probe padding is

@@ -30,6 +30,7 @@
 
 #include "api/engine.h"
 #include "core/exec_context.h"
+#include "core/inflight.h"
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
 #include "server/client.h"
@@ -360,8 +361,56 @@ class TypedPartServerTest : public ::testing::Test {
     return std::move(client).value();
   }
 
+  /// A one-worker server that parks its first job until ReleaseGate()
+  /// and records the dataset of every job it starts, in run order. The
+  /// order is read on the server, so how fast each client thread wakes
+  /// up on its reply cannot blur it. Serves "clustered" and "far".
+  void StartGatedServer() {
+    server::ServerOptions options;
+    options.num_workers = 1;
+    options.max_queue = 8;
+    options.on_job_start = [this] {
+      std::unique_lock<std::mutex> lock(gate_mutex_);
+      // One worker: the only in-flight row is the job starting now.
+      const auto rows = InflightRegistry::Global().Snapshot(nullptr);
+      for (const InflightRow& row : rows) started_.push_back(row.dataset);
+      if (!gate_armed_) return;
+      gate_armed_ = false;
+      gate_cv_.wait(lock, [this] { return released_; });
+    };
+    options.on_enqueue = [this](size_t) { enqueued_.fetch_add(1); };
+    StartServer(options);
+    catalog_->Register("far", BuildClusteredEngine());
+  }
+
+  /// Blocks until `n` jobs have been enqueued.
+  void AwaitEnqueued(size_t n) {
+    while (enqueued_.load() < n) std::this_thread::yield();
+  }
+
+  void ReleaseGate() {
+    {
+      std::lock_guard<std::mutex> lock(gate_mutex_);
+      released_ = true;
+    }
+    gate_cv_.notify_all();
+  }
+
+  std::vector<std::string> StartedDatasets() {
+    std::lock_guard<std::mutex> lock(gate_mutex_);
+    return started_;
+  }
+
   std::shared_ptr<server::Catalog> catalog_;
   std::unique_ptr<server::Server> server_;
+
+ private:
+  std::mutex gate_mutex_;
+  std::condition_variable gate_cv_;
+  bool gate_armed_ = true;
+  bool released_ = false;
+  std::vector<std::string> started_;
+  std::atomic<size_t> enqueued_{0};
 };
 
 TEST_F(TypedPartServerTest, SeasonalProgressStreamsPartGroupFrames) {
@@ -566,28 +615,12 @@ TEST_F(TypedPartServerTest, V3StyleSessionSeesNoV4Tokens) {
 TEST_F(TypedPartServerTest, WorkersDispatchEarliestDeadlineFirst) {
   // One worker, gated on its first job. While it is held, a far-
   // deadline query is enqueued BEFORE a near-deadline one; under FIFO
-  // the far one would finish first, under EDF the near one must.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool gate_armed = true;
-  bool release = false;
-  std::atomic<size_t> enqueued{0};
-  server::ServerOptions options;
-  options.num_workers = 1;
-  options.max_queue = 8;
-  options.on_job_start = [&] {
-    std::unique_lock<std::mutex> lock(mutex);
-    if (!gate_armed) return;
-    gate_armed = false;
-    cv.wait(lock, [&] { return release; });
-  };
-  options.on_enqueue = [&](size_t) { enqueued.fetch_add(1); };
-  StartServer(options);
-
+  // the far one would run first, under EDF the near one must.
+  StartGatedServer();
   server::Client blocker = Connect();
   ASSERT_TRUE(blocker.Roundtrip("use clustered").ok());
   server::Client far_client = Connect();
-  ASSERT_TRUE(far_client.Roundtrip("use clustered").ok());
+  ASSERT_TRUE(far_client.Roundtrip("use far").ok());
   server::Client near_client = Connect();
   ASSERT_TRUE(near_client.Roundtrip("use clustered").ok());
 
@@ -599,36 +632,27 @@ TEST_F(TypedPartServerTest, WorkersDispatchEarliestDeadlineFirst) {
     return RenderRequestLine(query, attrs);
   };
 
-  std::chrono::steady_clock::time_point far_done, near_done;
   std::thread blocker_thread([&] {
     (void)blocker.Roundtrip(RenderRequestLine(query));  // Holds the worker.
   });
   // Wait until the blocker's job is actually in the worker (enqueued and
   // the gate grabbed it), then stage far before near.
-  while (enqueued.load() < 1) std::this_thread::yield();
+  AwaitEnqueued(1);
   std::thread far_thread([&] {
-    auto reply = far_client.Roundtrip(line_with_deadline(600000));
-    EXPECT_TRUE(reply.ok());
-    far_done = std::chrono::steady_clock::now();
+    EXPECT_TRUE(far_client.Roundtrip(line_with_deadline(600000)).ok());
   });
-  while (enqueued.load() < 2) std::this_thread::yield();
+  AwaitEnqueued(2);
   std::thread near_thread([&] {
-    auto reply = near_client.Roundtrip(line_with_deadline(60000));
-    EXPECT_TRUE(reply.ok());
-    near_done = std::chrono::steady_clock::now();
+    EXPECT_TRUE(near_client.Roundtrip(line_with_deadline(60000)).ok());
   });
-  while (enqueued.load() < 3) std::this_thread::yield();
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    release = true;
-  }
-  cv.notify_all();
+  AwaitEnqueued(3);
+  ReleaseGate();
   blocker_thread.join();
   far_thread.join();
   near_thread.join();
-  // EDF: the near-deadline query (enqueued second) completed first.
-  EXPECT_LT(near_done.time_since_epoch().count(),
-            far_done.time_since_epoch().count());
+  // EDF: the near-deadline query (enqueued second) ran first.
+  EXPECT_EQ(StartedDatasets(),
+            (std::vector<std::string>{"clustered", "clustered", "far"}));
 }
 
 TEST_F(TypedPartServerTest, DeadlineLessJobsAgeAheadOfFarDeadlines) {
@@ -637,62 +661,37 @@ TEST_F(TypedPartServerTest, DeadlineLessJobsAgeAheadOfFarDeadlines) {
   // rank is admission + 500ms, so it outranks a deadline 60s away —
   // under a rank of "infinitely late" the far-deadline query would
   // have won and the untagged session could be starved.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool gate_armed = true;
-  bool release = false;
-  std::atomic<size_t> enqueued{0};
-  server::ServerOptions options;
-  options.num_workers = 1;
-  options.max_queue = 8;
-  options.on_job_start = [&] {
-    std::unique_lock<std::mutex> lock(mutex);
-    if (!gate_armed) return;
-    gate_armed = false;
-    cv.wait(lock, [&] { return release; });
-  };
-  options.on_enqueue = [&](size_t) { enqueued.fetch_add(1); };
-  StartServer(options);
-
+  StartGatedServer();
   server::Client blocker = Connect();
   ASSERT_TRUE(blocker.Roundtrip("use clustered").ok());
   server::Client plain_client = Connect();
   ASSERT_TRUE(plain_client.Roundtrip("use clustered").ok());
   server::Client far_client = Connect();
-  ASSERT_TRUE(far_client.Roundtrip("use clustered").ok());
+  ASSERT_TRUE(far_client.Roundtrip("use far").ok());
 
   const QueryRequest query =
       RangeWithinRequest{std::vector<double>(12, 0.5), 0.3, 0, true};
-  std::chrono::steady_clock::time_point plain_done, far_done;
   std::thread blocker_thread([&] {
     (void)blocker.Roundtrip(RenderRequestLine(query));
   });
-  while (enqueued.load() < 1) std::this_thread::yield();
+  AwaitEnqueued(1);
   std::thread plain_thread([&] {
-    auto reply = plain_client.Roundtrip(RenderRequestLine(query));
-    EXPECT_TRUE(reply.ok());
-    plain_done = std::chrono::steady_clock::now();
+    EXPECT_TRUE(plain_client.Roundtrip(RenderRequestLine(query)).ok());
   });
-  while (enqueued.load() < 2) std::this_thread::yield();
+  AwaitEnqueued(2);
   std::thread far_thread([&] {
     RequestAttrs attrs;
     attrs.deadline_ms = 60000;
-    auto reply = far_client.Roundtrip(RenderRequestLine(query, attrs));
-    EXPECT_TRUE(reply.ok());
-    far_done = std::chrono::steady_clock::now();
+    EXPECT_TRUE(far_client.Roundtrip(RenderRequestLine(query, attrs)).ok());
   });
-  while (enqueued.load() < 3) std::this_thread::yield();
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    release = true;
-  }
-  cv.notify_all();
+  AwaitEnqueued(3);
+  ReleaseGate();
   blocker_thread.join();
   plain_thread.join();
   far_thread.join();
   // The aged deadline-less query ran before the far-deadline one.
-  EXPECT_LT(plain_done.time_since_epoch().count(),
-            far_done.time_since_epoch().count());
+  EXPECT_EQ(StartedDatasets(),
+            (std::vector<std::string>{"clustered", "clustered", "far"}));
 }
 
 TEST_F(TypedPartServerTest, DeadlineMissesAreCountedAndRendered) {

@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <vector>
 
+#include "util/crc32.h"
 #include "util/flags.h"
 #include "util/monotonic_deque.h"
 #include "util/rng.h"
@@ -273,6 +275,62 @@ TEST(MonotonicDequeTest, WrapsAroundRingBuffer) {
     dq.PopFront();
     EXPECT_TRUE(dq.Empty());
   }
+}
+
+// ----------------------------------------------------------------- CRC32.
+
+/// Bytewise reference CRC-32 (reflected 0xEDB88320, init and xorout
+/// 0xFFFFFFFF), one bit at a time — independent of the library tables.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, CheckValue) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryAlignmentAndLength) {
+  Rng rng(3226);
+  std::vector<unsigned char> storage(8 + 64);
+  for (auto& b : storage) b = static_cast<unsigned char>(rng.Uniform(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 64; ++n) {
+      const unsigned char* p = storage.data() + offset;
+      EXPECT_EQ(Crc32(p, n), ReferenceCrc32(p, n))
+          << "offset=" << offset << " n=" << n;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedUpdatesEqualOneCall) {
+  Rng rng(17);
+  std::vector<unsigned char> bytes(1000);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.Uniform(256));
+  const uint32_t whole = Crc32(bytes.data(), bytes.size());
+  EXPECT_EQ(whole, ReferenceCrc32(bytes.data(), bytes.size()));
+  for (size_t cut : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                     size_t{500}, size_t{999}, size_t{1000}}) {
+    const uint32_t head = Crc32Update(0, bytes.data(), cut);
+    EXPECT_EQ(Crc32Update(head, bytes.data() + cut, bytes.size() - cut), whole)
+        << "cut=" << cut;
+  }
+  // Many small pieces of uneven size.
+  uint32_t crc = 0;
+  size_t at = 0;
+  for (size_t piece = 1; at < bytes.size(); piece = piece % 13 + 1) {
+    const size_t n = std::min(piece, bytes.size() - at);
+    crc = Crc32Update(crc, bytes.data() + at, n);
+    at += n;
+  }
+  EXPECT_EQ(crc, whole);
 }
 
 // ----------------------------------------------------------------- Timer.
